@@ -21,6 +21,7 @@ from .exactcore import (
     PrecisionError,
     XSeries,
     ZLaurent,
+    min_prec,
 )
 from .psidocalc import MatrixPsiDO, commutator, rth_root
 from .sato import (
@@ -147,39 +148,26 @@ def _tagged(value):
     return {"type": value_tag(value), "value": value_payload(value)}
 
 
-def _min_prec(entries):
-    best = None
-    for e in entries:
-        if e.prec is not None and (best is None or e.prec < best):
-            best = e.prec
-    return best
-
-
 def _window_note(value):
     """Human-readable statement of the window a value is certified on."""
     tag = value_tag(value)
     if tag in ("scalar", "qmatrix"):
         return "exact"
-    if tag == "xseries":
+    if tag in ("xseries", "zlaurent"):
         entries = [value]
-    elif tag == "xmatrix":
-        entries = [e for row in value.rows for e in row]
-    elif tag == "zlaurent":
-        entries = [value]
-    elif tag == "zmatrix":
+    elif tag in ("xmatrix", "zmatrix"):
         entries = [e for row in value.rows for e in row]
     elif tag == "pdo":
         parts = []
         if value.lo is not None:
             parts.append(f"degrees >= {value.lo}")
-        nx = _min_prec([e for mat in value.terms.values()
-                        for row in mat.rows for e in row])
+        nx = value.xprec()
         if nx is not None:
             parts.append(f"x-precision {nx}")
         return "exact" if not parts else ", ".join(parts)
     else:
         return None
-    p = _min_prec(entries)
+    p = min_prec(entries)
     if p is None:
         return "exact"
     if tag in ("zlaurent", "zmatrix"):
@@ -502,8 +490,8 @@ def _cmd_verify_commute(env, args):
     else:
         raise DomainError("give operator expressions or --session FILE")
     rep = verify_commutative(ops)
-    nx = _min_prec([e for op in ops for mat in op.terms.values()
-                    for row in mat.rows for e in row])
+    precs = [p for p in (op.xprec() for op in ops) if p is not None]
+    nx = min(precs) if precs else None
     window = "exactly" if nx is None else f"to precision (Nx={nx})"
     if rep.ok:
         lines = [f"PASS: all commutators zero {window}"]
@@ -554,18 +542,30 @@ def _add_store(sp):
                     help="store the result in the session file")
 
 
+def _nonnegative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be nonnegative, got {value}")
+    return value
+
+
 def _global_flags(p, leaf=False):
     # On leaves the flags are write-only (SUPPRESS), so an absent flag
     # never clobbers a value parsed before the subcommand.
     d = argparse.SUPPRESS if leaf else None
     jd = argparse.SUPPRESS if leaf else False
-    p.add_argument("--x-prec", dest="xprec", type=int, metavar="N",
+    p.add_argument("--x-prec", dest="xprec", type=_nonnegative, metavar="N",
                    default=d, help="guaranteed x-series coefficients")
     p.add_argument("--z-lo", dest="zlo", type=int, metavar="K",
                    default=d, help="z-window bottom")
     p.add_argument("--z-hi", dest="zhi", type=int, metavar="K",
                    default=d, help="z-window top")
-    p.add_argument("--depth", type=int, metavar="D", default=d,
+    p.add_argument("--depth", type=_nonnegative, metavar="D", default=d,
                    help="negative operator degrees carried")
     p.add_argument("--session", metavar="FILE", default=d,
                    help="session file with named bindings")

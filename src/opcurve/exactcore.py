@@ -72,6 +72,30 @@ def _common_den(coeffs) -> int:
     return den
 
 
+def min_prec(entries):
+    """Smallest precision among series entries, None when all are exact."""
+    precs = [e.prec for e in entries if e.prec is not None]
+    return min(precs) if precs else None
+
+
+def power(base, e: int, one):
+    """base**e for an integer e >= 0 by square-and-multiply.
+
+    one is returned for e = 0.  Otherwise the product starts from base
+    itself rather than from one * base, so no unit factor enters it.
+    """
+    if e == 0:
+        return one
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return out
+        base = base * base
+
+
 def fraction_str(a: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q' with q > 0, lowest terms."""
     a = as_fraction(a)
@@ -217,14 +241,7 @@ class XSeries:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise DomainError("series powers require a nonnegative integer exponent")
-        out = XSeries.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, e, XSeries.one())
 
     def derivative(self) -> "XSeries":
         if self.prec is not None and self.prec <= 1:
@@ -459,10 +476,7 @@ class ZLaurent:
             raise DomainError("Laurent powers require an integer exponent")
         if e < 0:
             return self.inverse() ** (-e)
-        out = ZLaurent.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, ZLaurent.one())
 
     def derivative_z(self) -> "ZLaurent":
         """d/dz term by term."""

@@ -15,6 +15,7 @@ from .exactcore import (
     XSeries,
     ZLaurent,
     fraction_str,
+    power,
     solve,
 )
 from .psidocalc import MatrixPsiDO, invert_dressing, is_dressing
@@ -337,12 +338,7 @@ def invert_value(v, ctx):
 def _pow(v, k, ctx):
     if k < 0:
         return _pow(invert_value(v, ctx), -k, ctx)
-    if k == 0:
-        return _one_like(v)
-    out = v
-    for _ in range(k - 1):
-        out = _mul(out, v)
-    return out
+    return power(v, k, _one_like(v))
 
 
 def _assemble_operator(entries):

@@ -8,7 +8,8 @@ the whole family off as constant-coefficient matrices, and reports the
 curve data of the algebra they generate together with the frame the
 dressing carries.
 
-The backward normalization fixes every integration constant to zero, so
+The backward dressing is psidocalc.dress_to_constant, re-exported here.
+Its normalization fixes every integration constant to zero, so
 recursion results are canonical; a monic operator whose subleading
 coefficient does not vanish has no dressing of this normalized shape
 and is rejected rather than silently renormalized.
@@ -16,21 +17,16 @@ and is rejected rather than silently renormalized.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactcore import (
     DEFAULT_DEPTH,
     DEFAULT_XPREC,
     DomainError,
-    Matrix,
     PrecisionError,
-    XSeries,
-    ZLaurent,
 )
 from .psidocalc import (
     MatrixPsiDO,
-    binom,
     commutator,
+    dress_to_constant,
     invert_dressing,
     order_and_monicity,
 )
@@ -92,75 +88,6 @@ def verify_commutative(ops) -> VerifyReport:
             if not c.is_zero():
                 witnesses.append((i, j, c))
     return VerifyReport(not witnesses, witnesses)
-
-
-def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
-    """Dressing S with P o S = S o D^r for a monic differential P.
-
-    Solved degree by degree: comparing the coefficient of D^(r-k) forces
-    r * s_(k-1)' to equal minus the lower-order data, and integration
-    with zero constant makes the answer canonical.  The first comparison
-    forces the subleading coefficient of P to vanish; operators that
-    fail this carry no dressing of the normalized shape.
-    """
-    r, monic = order_and_monicity(p)
-    if not monic:
-        raise DomainError("dressing to a constant power needs an identity "
-                          "leading coefficient")
-    if r < 1 or not p.is_differential_shape():
-        raise DomainError("dressing to a constant power needs a "
-                          "differential operator of positive order")
-    n = p.n
-    if p.lo is not None and p.lo > 0:
-        raise PrecisionError("coefficients below the order window are "
-                             "unknown, cannot dress")
-    if depth is None:
-        depth = DEFAULT_DEPTH
-    if not p.coeff(r - 1).is_zero():
-        raise DomainError("subleading coefficient must vanish for the "
-                          "normalized dressing")
-    if p.exact and p == MatrixPsiDO.d(r, n):
-        return MatrixPsiDO.identity(n)
-    zero = Matrix.filled(n, XSeries.zero())
-    s = [Matrix.identity(n, XSeries.one())]
-    for k in range(2, depth + 2):
-        rhs = zero
-        for j in range(2, k + 1):
-            b = binom(r, j)
-            d = k - j
-            if b == 0 or d < 0 or d >= len(s):
-                continue
-            rhs = rhs + _ftimes(_derivative_iter(s[d], j), b)
-        for m in range(0, r - 1):
-            pm = p.coeff(m)
-            if _matrix_exact_zero(pm):
-                continue
-            for j in range(0, k - r + m + 1):
-                b = binom(m, j)
-                d = k - r + m - j
-                if b == 0 or d < 0 or d >= len(s):
-                    continue
-                rhs = rhs + _ftimes(pm * _derivative_iter(s[d], j), b)
-        s.append(rhs.map(lambda e: e.scale(-1).integral().scale(
-            Fraction(1, r))))
-    terms = {0: s[0]}
-    for d in range(1, len(s)):
-        terms[-d] = s[d]
-    return MatrixPsiDO(n, terms, -depth)
-
-
-def _ftimes(mat: Matrix, c) -> Matrix:
-    return mat.map(lambda e: e.scale(c))
-
-
-def _derivative_iter(mat: Matrix, j: int) -> Matrix:
-    for _ in range(j):
-        mat = mat.map(lambda e: e.derivative())
-    return mat
-
-
-def _matrix_exact_zero(mat: Matrix) -> bool:
-    return all(e.exact and e.is_zero() for row in mat.rows for e in row)
 
 
 class ForwardResult:

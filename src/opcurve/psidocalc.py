@@ -10,7 +10,12 @@ Composition is the generalized Leibniz rule
     D^m o a(x) = sum_{j>=0} binom(m, j) a^(j)(x) D^(m-j)
 
 with binom(m, j) = m(m-1)...(m-j+1)/j!, valid for negative m as well.
-The sum is truncated by two effects, both audited in compose():
+One private kernel evaluates it: _Tower holds the memoized x-derivatives
+of one coefficient matrix, and _leibniz_coeff sums the rule into the
+coefficient of a single degree of a product.  compose(), invert_dressing()
+and dress_to_constant() are its only callers; the last two solve for one
+new coefficient per degree from the ones before it.  In compose() the sum
+is truncated by two effects:
 
 * degrees below the derived window floor are dropped as untracked, and
 * a term whose x-precision is exhausted poisons every lower degree.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import factorial, inf
 
 from .exactcore import (
     DEFAULT_DEPTH,
@@ -38,6 +43,8 @@ from .exactcore import (
     PrecisionError,
     XSeries,
     ZLaurent,
+    min_prec,
+    power,
 )
 
 
@@ -52,13 +59,6 @@ def binom(m: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _falling(m: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= m - t
-    return out
-
-
 def _zero_matrix(n: int) -> Matrix:
     return Matrix.filled(n, XSeries.zero())
 
@@ -67,20 +67,76 @@ def _is_exact_zero(mat: Matrix) -> bool:
     return all(e.exact and e.is_zero() for row in mat.rows for e in row)
 
 
-def _min_prec(mat: Matrix):
-    p = inf
-    for row in mat.rows:
-        for e in row:
-            if e.prec is not None:
-                p = min(p, e.prec)
-    return p
+class _Exhausted(Exception):
+    """A derivative tower ran out of x-precision."""
 
 
-def _derivative(mat: Matrix):
-    """Entrywise x-derivative, or None when precision is exhausted."""
-    if _min_prec(mat) <= 1:
+class _Tower:
+    """The x-derivatives b, b', b'', ... of one coefficient matrix, built on
+    demand and kept for reuse.
+
+    at(j) gives the j-th derivative, or None once the tower has ended
+    exactly (that derivative and every later one are exactly zero); it
+    raises _Exhausted when x-precision runs out first.
+    """
+
+    __slots__ = ("mats", "end")
+
+    def __init__(self, mat: Matrix):
+        self.mats = [mat]
+        self.end = None  # "exact" or "exhausted" once no derivative follows
+
+    def _grow(self):
+        last = self.mats[-1]
+        p = min_prec(e for row in last.rows for e in row)
+        if p is not None and p <= 1:
+            self.end = "exhausted"
+            return
+        nxt = last.map(lambda e: e.derivative())
+        if _is_exact_zero(nxt):
+            self.end = "exact"
+        else:
+            self.mats.append(nxt)
+
+    def at(self, j: int):
+        while len(self.mats) <= j and self.end is None:
+            self._grow()
+        if j < len(self.mats):
+            return self.mats[j]
+        if self.end == "exhausted":
+            raise _Exhausted
         return None
-    return mat.map(lambda e: e.derivative())
+
+    def size(self) -> int:
+        """Number of derivatives held once the tower is built to its end."""
+        while self.end is None:
+            self._grow()
+        return len(self.mats)
+
+
+def _leibniz_coeff(n: int, a_terms, towers, deg: int) -> Matrix:
+    """Coefficient of D^deg in A o B by the generalized Leibniz rule.
+
+    a_terms maps each degree m of A to its n x n coefficient a_m, or to
+    None for an identity coefficient, which is applied without a matrix
+    product so that it mixes no entry windows; towers maps each degree k
+    of B to the _Tower of b_k.  The result is the sum of binom(m, j) a_m
+    b_k^(j) over m + k - j = deg, exactly zero when no term reaches deg.
+    Raises _Exhausted when a needed derivative lies beyond x-precision.
+    """
+    acc = _zero_matrix(n)
+    for m, a in a_terms.items():
+        for k, tower in towers.items():
+            j = m + k - deg
+            if j < 0 or 0 <= m < j:
+                continue
+            b = tower.at(j)
+            if b is None:
+                continue
+            c = binom(m, j)
+            term = (b if a is None else a * b).map(lambda e: e.scale(c))
+            acc = acc + term
+    return acc
 
 
 class MatrixPsiDO:
@@ -168,10 +224,8 @@ class MatrixPsiDO:
 
     def xprec(self):
         """Smallest coefficient precision present, None when all exact."""
-        p = inf
-        for mat in self.terms.values():
-            p = min(p, _min_prec(mat))
-        return None if p == inf else int(p)
+        return min_prec(e for mat in self.terms.values()
+                        for row in mat.rows for e in row)
 
     def degrees(self):
         return sorted(self.terms)
@@ -267,10 +321,7 @@ class MatrixPsiDO:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise DomainError("operator powers require a nonnegative integer")
-        out = MatrixPsiDO.identity(self.n)
-        for _ in range(e):
-            out = compose(out, self)
-        return out
+        return power(self, e, MatrixPsiDO.identity(self.n))
 
     def split(self):
         """Split into (differential part, strictly negative part).
@@ -292,8 +343,9 @@ class MatrixPsiDO:
 
         Uses a D^m = sum_j (-1)^j binom(m, j) D^(m-j) a^(j), so the right
         coefficient picked up at z^(j-m) from a tracked term a(x) D^m is
-        (-1)^j (m)_j [x^j]a.  Entry windows record where the operator's
-        untracked tail or exhausted x-precision stops the guarantee.
+        (-1)^j binom(m, j) j! [x^j]a.  Entry windows record where the
+        operator's untracked tail or exhausted x-precision stops the
+        guarantee.
         """
         n = self.n
         out = []
@@ -311,7 +363,8 @@ class MatrixPsiDO:
                         if c == 0:
                             continue
                         e = j - m
-                        vals[e] = vals.get(e, Fraction(0)) + (-1) ** j * _falling(m, j) * c
+                        vals[e] = (vals.get(e, Fraction(0))
+                                  + (-1) ** j * binom(m, j) * factorial(j) * c)
                 row.append(ZLaurent(vals, prec))
             out.append(row)
         return Matrix(out)
@@ -382,45 +435,23 @@ def compose(p: MatrixPsiDO, q: MatrixPsiDO) -> MatrixPsiDO:
         cands.append(p_top + q.lo)
     floor = max(cands) if cands else None
 
-    towers: dict[int, list] = {k: [mat] for k, mat in q.terms.items()}
-    ended_exact: dict[int, bool] = {}
-    poison = None
+    towers = {k: _Tower(mat) for k, mat in q.terms.items()}
+    if floor is None:
+        # exact in degree: each pair's sum ends at j = m, or for m < 0 where
+        # the tower of its Q coefficient ends
+        bottom = min(k if m >= 0 else m + k - towers[k].size()
+                     for m in p.terms for k in q.terms)
+    else:
+        bottom = floor
 
     acc: dict[int, Matrix] = {}
-    for m, a in p.terms.items():
-        for k, b0 in q.terms.items():
-            tower = towers[k]
-            j = 0
-            while True:
-                if m >= 0 and j > m:
-                    break
-                deg = m + k - j
-                if floor is not None and deg < floor:
-                    break
-                while len(tower) <= j:
-                    if ended_exact.get(k) is not None:
-                        break
-                    nxt = _derivative(tower[-1])
-                    if nxt is None:
-                        ended_exact[k] = False
-                    elif _is_exact_zero(nxt):
-                        ended_exact[k] = True
-                    else:
-                        tower.append(nxt)
-                if len(tower) <= j:
-                    if not ended_exact[k]:
-                        # x-precision exhausted: this and all lower degrees
-                        # of the pair are unknown
-                        poison = deg if poison is None else max(poison, deg)
-                    break
-                term = (a * tower[j]).map(lambda e: e.scale(binom(m, j)))
-                acc[deg] = acc[deg] + term if deg in acc else term
-                j += 1
-
-    if poison is not None:
-        floor = poison + 1 if floor is None else max(floor, poison + 1)
-    if floor is not None:
-        acc = {m: mat for m, mat in acc.items() if m >= floor}
+    for deg in range(p_top + q_top, bottom - 1, -1):
+        try:
+            acc[deg] = _leibniz_coeff(n, p.terms, towers, deg)
+        except _Exhausted:
+            # x-precision exhausted: this and all lower degrees are unknown
+            floor = deg + 1 if floor is None else max(floor, deg + 1)
+            break
     return MatrixPsiDO(n, acc, floor)
 
 
@@ -460,33 +491,70 @@ def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
         depth = DEFAULT_DEPTH if s.lo is None else -s.lo
     lo = -depth if s.lo is None else max(-depth, s.lo)
     ident = Matrix.identity(n, XSeries.one())
-    svals = {-m: mat for m, mat in s.terms.items() if m < 0}
+    svals = {m: mat for m, mat in s.terms.items() if m < 0}
 
-    ts: dict[int, Matrix] = {0: ident}
-    towers: dict[int, list] = {0: [ident]}
+    towers = {0: _Tower(ident)}
     for d in range(1, -lo + 1):
-        acc = None
-        for m, sm in svals.items():
-            for j in range(0, d - m + 1):
-                kk = d - m - j
-                tower = towers[kk]
-                while len(tower) <= j:
-                    nxt = _derivative(tower[-1])
-                    if nxt is None:
-                        raise PrecisionError(
-                            f"x-precision exhausted inverting at depth {d}")
-                    tower.append(nxt)
-                term = (sm * tower[j]).map(lambda e: e.scale(binom(-m, j)))
-                acc = term if acc is None else acc + term
-        td = _zero_matrix(n) if acc is None else -acc
-        ts[d] = td
-        towers[d] = [td]
-    terms = {-d: t for d, t in ts.items()}
+        try:
+            acc = _leibniz_coeff(n, svals, towers, -d)
+        except _Exhausted:
+            raise PrecisionError(
+                f"x-precision exhausted inverting at depth {d}") from None
+        towers[-d] = _Tower(-acc)
+    terms = {m: tower.mats[0] for m, tower in towers.items()}
     # the true inverse has terms at every depth, so it is only exact when
     # S is exactly the identity
-    if s.lo is None and all(_is_exact_zero(t) for d, t in ts.items() if d != 0):
+    if s.lo is None and all(_is_exact_zero(t) for m, t in terms.items()
+                            if m != 0):
         return MatrixPsiDO(n, terms)
     return MatrixPsiDO(n, terms, lo)
+
+
+def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
+    """Dressing S with P o S = S o D^r for a monic differential P.
+
+    Solved degree by degree: comparing the coefficient of D^(r-k) forces
+    r * s_(k-1)' to equal minus the lower-order data, and integration
+    with zero constant makes the answer canonical.  The first comparison
+    forces the subleading coefficient of P to vanish; operators that
+    fail this carry no dressing of the normalized shape.
+    """
+    r, monic = order_and_monicity(p)
+    if not monic:
+        raise DomainError("dressing to a constant power needs an identity "
+                          "leading coefficient")
+    if r < 1 or not p.is_differential_shape():
+        raise DomainError("dressing to a constant power needs a "
+                          "differential operator of positive order")
+    n = p.n
+    if p.lo is not None and p.lo > 0:
+        raise PrecisionError("coefficients below the order window are "
+                             "unknown, cannot dress")
+    if depth is None:
+        depth = DEFAULT_DEPTH
+    if not p.coeff(r - 1).is_zero():
+        raise DomainError("subleading coefficient must vanish for the "
+                          "normalized dressing")
+    if p.exact and p == MatrixPsiDO.d(r, n):
+        return MatrixPsiDO.identity(n)
+    # only P's degrees 0 .. r-2 and its identity top enter the sum; its
+    # other stored degrees are zero within precision and would add nothing
+    # but their windows
+    p_terms = {m: mat for m, mat in p.terms.items() if 0 <= m < r - 1}
+    p_terms[r] = None
+    towers = {0: _Tower(Matrix.identity(n, XSeries.one()))}
+    for d in range(1, depth + 1):
+        # s_d' is fixed by the coefficient of D^(r-1-d), whose other terms
+        # draw on s_0 .. s_(d-1) only
+        try:
+            rhs = _leibniz_coeff(n, p_terms, towers, r - 1 - d)
+        except _Exhausted:
+            raise PrecisionError("x-precision exhausted in dress_to_constant "
+                                 f"at depth {d}") from None
+        towers[-d] = _Tower(rhs.map(lambda e: e.scale(-1).integral().scale(
+            Fraction(1, r))))
+    return MatrixPsiDO(n, {m: tower.mats[0] for m, tower in towers.items()},
+                       -depth)
 
 
 def rth_root(p: MatrixPsiDO, r: int, depth=None) -> MatrixPsiDO:

@@ -154,20 +154,10 @@ def parse_zmatrix(payload) -> Matrix:
 # -- operators -------------------------------------------------------
 
 
-def _operator_xprec(op: MatrixPsiDO):
-    best = None
-    for mat in op.terms.values():
-        for row in mat.rows:
-            for e in row:
-                if e.prec is not None and (best is None or e.prec < best):
-                    best = e.prec
-    return best
-
-
 def pdo_payload(op: MatrixPsiDO) -> dict:
     terms = [[m, xmatrix_payload(op.terms[m])] for m in sorted(op.terms)]
     return {"lo": op.lo, "n": op.n, "terms": terms,
-            "xprec": _operator_xprec(op)}
+            "xprec": op.xprec()}
 
 
 def parse_pdo(payload) -> MatrixPsiDO:

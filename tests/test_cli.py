@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from opcurve.cli import main
 from opcurve.session import Session
 
@@ -326,6 +328,34 @@ def test_precision_error_exit(capsys):
                        "1 + 1/(1+x)*Dx^-1")
     assert code == 4
     assert err.startswith("error (precision):")
+
+
+def test_backward_exhaustion_names_its_stage(capsys):
+    code, out, err = run(capsys, "--x-prec", "12", "--depth", "20",
+                         "pipeline", "backward", "Dx^2 - 2*1/((x+2)^2)",
+                         "Dx^3 - 3*1/((x+2)^2)*Dx + 3*1/((x+2)^3)")
+    assert code == 4
+    assert out == []
+    assert err.startswith("error (precision): x-precision exhausted in "
+                          "dress_to_constant at depth ")
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_negative_x_prec_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "--x-prec", "-3", "pdo", "rho", "Dx^2")
+    assert code == 2
+    assert "--x-prec: must be nonnegative" in err
+
+
+def test_negative_depth_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "pdo", "rho", "Dx^2", "--depth", "-2")
+    assert code == 2
+    assert "--depth: must be nonnegative" in err
 
 
 def test_json_error_goes_to_stdout(capsys):

@@ -165,3 +165,57 @@ def test_print_rejects_frames():
     from opcurve.sato import GrassPoint, basis_column
     with pytest.raises(DomainError):
         print_value(GrassPoint(1, [basis_column(0, 1)], 1))
+
+
+# -- powers ----------------------------------------------------------
+
+def _xs(*coeffs, prec=None):
+    return XSeries([Fraction(c) for c in coeffs], prec)
+
+
+def _windows(v):
+    """Every stored entry with its window, so equal renderings mean equal
+    values and equal windows."""
+    if isinstance(v, MatrixPsiDO):
+        return v.lo, {m: _windows(mat) for m, mat in v.terms.items()}
+    if isinstance(v, Matrix):
+        return [[repr(e) for e in row] for row in v.rows]
+    return repr(v)
+
+
+POWER_BASES = {
+    "xseries": lambda: _xs(1, 2, -1, prec=5),
+    "xseries_exact": lambda: _xs(0, 1, 3),
+    "xseries_zero_windowed": lambda: _xs(prec=3),
+    "zlaurent_windowed": lambda: ZLaurent({-1: 1, 0: 2, 2: 1}, 3),
+    "zlaurent_zero_windowed": lambda: ZLaurent({}, 2),
+    "zlaurent_positive_valuation": lambda: ZLaurent({1: 2, 3: 1}, 4),
+    "pdo_windowed_truncated": lambda: MatrixPsiDO.from_scalars(
+        {1: 1, 0: _xs(1, 1, 1, prec=4), -1: _xs(0, 1, prec=6)}, lo=-3),
+    "pdo_2x2_mixed_windows": lambda: MatrixPsiDO(2, {
+        1: ident(2),
+        0: Matrix([[_xs(1, 2, prec=6), _xs()],
+                   [_xs(0, 1), _xs(2, 1, prec=9)]]),
+        -1: Matrix([[_xs(), _xs(0, 0, 1, prec=5)], [_xs(), _xs()]])}, lo=-2),
+}
+
+POWER_TEXTS = ["3/2", "1/(x+1) + x", "[[1/(x+1), 0], [x, 1]]", "1/(1+z)",
+               "[[1/(1+z), z], [0, z^-1]]", "Dx + 1/(1+x)",
+               "[[Dx, x], [0, Dx + 1/(1+x)]]"]
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_matches_repeated_multiplication(name):
+    base = POWER_BASES[name]()
+    prod = base
+    for e in range(1, 7):
+        if e > 1:
+            prod = prod * base
+        assert _windows(base ** e) == _windows(prod), e
+
+
+@pytest.mark.parametrize("text", POWER_TEXTS)
+def test_expression_power_matches_repeated_multiplication(text):
+    for e in range(1, 7):
+        want = evaluate(" * ".join([f"({text})"] * e))
+        assert _windows(evaluate(f"({text})^{e}")) == _windows(want), e
