@@ -175,6 +175,12 @@ def _window_note(value):
     return f"x-precision {p}"
 
 
+def _window_lines(value):
+    """The 'window:' line for a value not known exactly, else nothing."""
+    note = _window_note(value)
+    return [f"window: {note}"] if note and note != "exact" else []
+
+
 def _describe(value):
     """Short human rendering; falls back to structural summaries for
     values without an expression form."""
@@ -190,11 +196,7 @@ def _describe(value):
         return [f"algebra: n={value.n}, {len(value.gens)} matrix "
                 f"generator(s), {len(value.diag_gens)} diagonal "
                 f"generator(s)"]
-    text = print_value(value)
-    note = _window_note(value)
-    if note and note != "exact":
-        return [text, f"window: {note}"]
-    return [text]
+    return [print_value(value)] + _window_lines(value)
 
 
 def _store(env, args, value):
@@ -231,10 +233,7 @@ def _cmd_pdo_commutator(env, args):
 def _cmd_pdo_split(env, args):
     plus, minus = _as_pdo(_operand(env, args.a)).split()
     lines = ["differential part: " + print_value(plus),
-             "integral part: " + print_value(minus)]
-    note = _window_note(minus)
-    if note and note != "exact":
-        lines.append(f"window: {note}")
+             "integral part: " + print_value(minus)] + _window_lines(minus)
     return EXIT_OK, lines, {"plus": _tagged(plus), "minus": _tagged(minus)}
 
 
@@ -358,10 +357,7 @@ def _cmd_curve_charpoly(env, args):
     g = _as_zmatrix(_operand(env, args.gen), "generator")
     cs = spectral_charpoly(g)
     text = charpoly_string(cs)
-    note = _window_note(g)
-    lines = [text]
-    if note and note != "exact":
-        lines.append(f"window: {note}")
+    lines = [text] + _window_lines(g)
     obj = {"coeffs": [_tagged(c) for c in cs], "string": text}
     return EXIT_OK, lines, obj
 
@@ -405,10 +401,7 @@ def _forward_lines(res):
         flag = "differential" if res.differential[i] else "has integral part"
         lines.append(f"operator {i}: {print_value(op)}  [{flag}]")
     lines.append("commuting: " + ("yes" if res.commuting else "no"))
-    note = _window_note(res.dressing)
-    if note and note != "exact":
-        lines.append(f"window: {note}")
-    return lines
+    return lines + _window_lines(res.dressing)
 
 
 def _cmd_pipeline_forward(env, args):

@@ -91,8 +91,8 @@ def matrix_order(g: Matrix) -> int:
     truncated = False
     for row in g.rows:
         for e in row:
-            if e.coeffs:
-                v = -min(e.coeffs)
+            if not e.is_zero():
+                v = e.order()
                 if best is None or v > best:
                     best = v
             elif e.prec is not None:
@@ -210,8 +210,8 @@ def _laurent_rref(rows):
         best = None
         for ri, row in enumerate(pending):
             for ci, e in enumerate(row):
-                if e.coeffs:
-                    v = min(e.coeffs)
+                if not e.is_zero():
+                    v = e.valuation()
                     if best is None or v < best[0]:
                         best = (v, ri, ci)
         if best is None:
@@ -225,7 +225,7 @@ def _laurent_rref(rows):
         pivot = pivot_row[ci]
         inv = pivot.inverse()
         for row in pending:
-            if row[ci].coeffs:
+            if not row[ci].is_zero():
                 f = row[ci] * inv
                 for j in range(len(row)):
                     row[j] = row[j] - f * pivot_row[j]
@@ -334,13 +334,13 @@ def _constant_rows(flats):
     # Flattened exact matrices as rows over the rationals, one column
     # per (entry position, exponent) pair that occurs anywhere.
     cols = sorted({(idx, e) for flat in flats
-                   for idx, z in enumerate(flat) for e in z.coeffs})
+                   for idx, z in enumerate(flat) for e in z.support()})
     pos = {c: i for i, c in enumerate(cols)}
     out = []
     for flat in flats:
         v = [Fraction(0)] * len(cols)
         for idx, z in enumerate(flat):
-            for e, c in z.coeffs.items():
+            for e, c in z.items():
                 v[pos[(idx, e)]] = c
         out.append(v)
     return out
@@ -414,13 +414,13 @@ def charpoly_string(coeffs) -> str:
         if c.is_zero():
             continue
         term = c.scale((-1) ** i)
-        if all(v < 0 for v in term.coeffs.values()):
+        if all(v < 0 for _, v in term.items()):
             sign = " - "
             term = term.scale(-1)
         else:
             sign = " + "
         body = str(term)
-        if len(term.coeffs) > 1:
+        if len(term.support()) > 1:
             body = f"({body})"
         if i < n:
             power = f"t^{n - i}" if n - i > 1 else "t"

@@ -16,6 +16,12 @@ used throughout:
 Precision propagates pessimistically: the result of an operation never
 claims a coefficient the inputs cannot justify, and asking a question
 outside the guaranteed window raises PrecisionError instead of guessing.
+
+This module alone decides how coefficients are stored.  Every other
+module reads a series through its methods: coeff, items, support,
+is_zero, valuation/order, low_bound and degree_bound.  The coeffs
+attribute stays readable (a tuple on XSeries, a dict on ZLaurent) only
+for the benchmark and the tests, and is never written from outside.
 """
 
 from __future__ import annotations
@@ -174,6 +180,10 @@ class XSeries:
         """Index of the highest stored nonzero coefficient, -1 if none."""
         return len(self.coeffs) - 1
 
+    def items(self):
+        """The nonzero (exponent, coefficient) pairs, exponents increasing."""
+        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other):
@@ -215,7 +225,11 @@ class XSeries:
             return NotImplemented
         prec = min(_prec_key(self.prec), _prec_key(o.prec))
         if self.is_zero() or o.is_zero():
-            return XSeries([], None if prec == inf else prec)
+            # an exact zero factor keeps the product exactly zero; a
+            # window-zero factor leaves zero on the narrower window
+            exact_zero = (self.exact and self.is_zero()
+                          or o.exact and o.is_zero())
+            return XSeries([], None if exact_zero or prec == inf else prec)
         n = len(self.coeffs) + len(o.coeffs) - 1
         if prec != inf:
             n = min(n, prec)
@@ -386,6 +400,10 @@ class ZLaurent:
     def support(self):
         return sorted(self.coeffs)
 
+    def items(self):
+        """The nonzero (exponent, coefficient) pairs, exponents increasing."""
+        return sorted(self.coeffs.items())
+
     def is_zero(self) -> bool:
         """True when every guaranteed coefficient vanishes."""
         return not self.coeffs
@@ -402,9 +420,10 @@ class ZLaurent:
         """Pole order: ord(a) = m when a lies in z^-m*Q[[z]] but not z^(-m+1)*Q[[z]]."""
         return -self.valuation()
 
-    def _low_bound(self) -> float:
-        # Lowest exponent that could carry a nonzero coefficient, for
-        # window bookkeeping: unknown-tail products start above this.
+    def low_bound(self) -> float:
+        """Lowest exponent that could carry a nonzero coefficient: the
+        valuation, prec + 1 for a window-zero series, inf for exact zero.
+        Window bookkeeping uses it: unknown-tail products start above it."""
         if self.coeffs:
             return min(self.coeffs)
         return inf if self.exact else self.prec + 1
@@ -448,8 +467,8 @@ class ZLaurent:
             return NotImplemented
         # The product coefficient at k is certain only when every split
         # k = i + j draws on guaranteed coefficients of both factors.
-        prec = min(_prec_key(self.prec) + o._low_bound(),
-                   _prec_key(o.prec) + self._low_bound())
+        prec = min(_prec_key(self.prec) + o.low_bound(),
+                   _prec_key(o.prec) + self.low_bound())
         da = _common_den(self.coeffs.values())
         db = _common_den(o.coeffs.values())
         ia = {i: int(a * da) for i, a in self.coeffs.items()}
@@ -572,9 +591,8 @@ class ZLaurent:
 class Matrix:
     """Square matrix over any of the exact coefficient rings used here.
 
-    Entries must support +, -, *, scale, is_zero, and ==; both XSeries and
-    ZLaurent do, as does Fraction via the wrappers below.  Matrices are
-    immutable: operations return new instances.
+    Entries must support +, -, *, is_zero, and ==; both XSeries and
+    ZLaurent do.  Matrices are immutable: operations return new instances.
     """
 
     __slots__ = ("n", "rows")
@@ -635,9 +653,6 @@ class Matrix:
             return Matrix(out)
         return NotImplemented
 
-    def scale(self, a) -> "Matrix":
-        return self.map(lambda e: e.scale(a) if hasattr(e, "scale") else e * a)
-
     def trace(self):
         acc = self.rows[0][0]
         for i in range(1, self.n):
@@ -680,11 +695,10 @@ def char_coefficients(m: Matrix) -> tuple:
         sign = 1
         for i in range(1, k + 1):
             term = psum[i - 1] if i == k else elem[k - i - 1] * psum[i - 1]
-            term = term.scale(sign) if hasattr(term, "scale") else sign * term
+            term = sign * term
             acc = term if acc is None else acc + term
             sign = -sign
-        elem.append(acc.scale(Fraction(1, k)) if hasattr(acc, "scale")
-                    else acc * Fraction(1, k))
+        elem.append(acc * Fraction(1, k))
     return tuple(elem)
 
 

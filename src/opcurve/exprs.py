@@ -310,7 +310,7 @@ def invert_value(v, ctx):
     if tag == "xseries":
         return v.inverse(prec=ctx["xprec"])
     if tag == "zlaurent":
-        if not v.coeffs:
+        if v.is_zero():
             raise DomainError("division by zero")
         return v.inverse(prec=ctx["zhi"])
     if tag == "pdo":
@@ -486,7 +486,7 @@ def _print_pdo(op: MatrixPsiDO) -> str:
         for j in range(op.n):
             parts = [(m, op.terms[m].rows[i][j])
                      for m in sorted(op.terms, reverse=True)
-                     if op.terms[m].rows[i][j].coeffs]
+                     if not op.terms[m].rows[i][j].is_zero()]
             row.append(_print_scalar_operator(parts))
         rows.append("[" + ", ".join(row) + "]")
     return "[" + ", ".join(rows) + "]"

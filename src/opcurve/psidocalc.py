@@ -117,11 +117,10 @@ class _Tower:
 def _leibniz_coeff(n: int, a_terms, towers, deg: int) -> Matrix:
     """Coefficient of D^deg in A o B by the generalized Leibniz rule.
 
-    a_terms maps each degree m of A to its n x n coefficient a_m, or to
-    None for an identity coefficient, which is applied without a matrix
-    product so that it mixes no entry windows; towers maps each degree k
-    of B to the _Tower of b_k.  The result is the sum of binom(m, j) a_m
-    b_k^(j) over m + k - j = deg, exactly zero when no term reaches deg.
+    a_terms maps each degree m of A to its n x n coefficient a_m; towers
+    maps each degree k of B to the _Tower of b_k.  The result is the sum
+    of binom(m, j) a_m b_k^(j) over m + k - j = deg, exactly zero when no
+    term reaches deg.
     Raises _Exhausted when a needed derivative lies beyond x-precision.
     """
     acc = _zero_matrix(n)
@@ -134,7 +133,7 @@ def _leibniz_coeff(n: int, a_terms, towers, deg: int) -> Matrix:
             if b is None:
                 continue
             c = binom(m, j)
-            term = (b if a is None else a * b).map(lambda e: e.scale(c))
+            term = (a * b).map(lambda e: e.scale(c))
             acc = acc + term
     return acc
 
@@ -207,7 +206,7 @@ class MatrixPsiDO:
         terms = {}
         for i in range(n):
             for j in range(n):
-                for k, c in val.rows[i][j].coeffs.items():
+                for k, c in val.rows[i][j].items():
                     deg = -k
                     if lo is not None and deg < lo:
                         continue
@@ -262,7 +261,7 @@ class MatrixPsiDO:
         for mat in self.terms.values():
             for row in mat.rows:
                 for e in row:
-                    if any(c != 0 for c in e.coeffs[1:]):
+                    if e.degree_bound() > 0:
                         return False
         return True
 
@@ -359,9 +358,7 @@ class MatrixPsiDO:
                     if s.prec is not None:
                         cap = -m + s.prec - 1
                         prec = cap if prec is None else min(prec, cap)
-                    for j, c in enumerate(s.coeffs):
-                        if c == 0:
-                            continue
+                    for j, c in s.items():
                         e = j - m
                         vals[e] = (vals.get(e, Fraction(0))
                                   + (-1) ** j * binom(m, j) * factorial(j) * c)
@@ -540,9 +537,10 @@ def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     # only P's degrees 0 .. r-2 and its identity top enter the sum; its
     # other stored degrees are zero within precision and would add nothing
     # but their windows
+    ident = Matrix.identity(n, XSeries.one())
     p_terms = {m: mat for m, mat in p.terms.items() if 0 <= m < r - 1}
-    p_terms[r] = None
-    towers = {0: _Tower(Matrix.identity(n, XSeries.one()))}
+    p_terms[r] = ident
+    towers = {0: _Tower(ident)}
     for d in range(1, depth + 1):
         # s_d' is fixed by the coefficient of D^(r-1-d), whose other terms
         # draw on s_0 .. s_(d-1) only

@@ -27,7 +27,7 @@ from .exactcore import (
     PrecisionError,
     XSeries,
     ZLaurent,
-    _prec_key,
+    min_prec,
     rank,
     rref,
     solve,
@@ -73,20 +73,23 @@ def _scalar_action(s, m, w):
     if w.prec is not None:
         caps.append(w.prec - m)
     if s.prec is not None:
-        lb = w._low_bound()
+        lb = w.low_bound()
         if lb != inf:
             caps.append(int(lb) - m + s.prec - 1)
     prec = min(caps) if caps else None
     vals = {}
-    sc = s.coeffs
-    for p, wc in w.coeffs.items():
+    s_items = s.items()
+    for p, wc in w.items():
         q = p - m
-        rise = Fraction(1)
-        for l, c in enumerate(sc):
-            if c != 0 and rise != 0:
-                e = q + l
-                vals[e] = vals.get(e, Fraction(0)) + c * rise * wc
-            rise *= q + l
+        rise, top = 1, 0  # rise = q (q+1) ... (q+top-1)
+        for l, c in s_items:
+            while top < l:
+                rise *= q + top
+                top += 1
+            if not rise:
+                break
+            e = q + l
+            vals[e] = vals.get(e, 0) + c * rise * wc
     return ZLaurent(vals, prec)
 
 
@@ -102,7 +105,7 @@ def module_action(op: MatrixPsiDO, vec):
                 acc = acc + _scalar_action(mat.entry(i, j), m, vec[j])
             out[i] = acc
     if op.lo is not None:
-        lb = min((w._low_bound() for w in vec), default=inf)
+        lb = min((w.low_bound() for w in vec), default=inf)
         if lb != inf:
             cap = int(lb) - op.lo
             out = [w.truncate(cap) for w in out]
@@ -128,11 +131,6 @@ def laurent_action(g: Matrix, vec):
     return tuple(out)
 
 
-def _shift_exponents(w: ZLaurent, m: int) -> ZLaurent:
-    prec = None if w.prec is None else w.prec + m
-    return ZLaurent({e + m: c for e, c in w.coeffs.items()}, prec)
-
-
 def _known_floor(vec, n):
     # Smallest class at which every higher coordinate of the column is
     # guaranteed; None when the column is exact.
@@ -143,14 +141,6 @@ def _known_floor(vec, n):
             if floor is None or f > floor:
                 floor = f
     return floor
-
-
-def _support_classes(vec, n):
-    out = set()
-    for i, w in enumerate(vec):
-        for e in w.coeffs:
-            out.add(i - n * e)
-    return out
 
 
 def _coord(vec, s, n):
@@ -218,11 +208,9 @@ class GrassPoint:
             f = _known_floor(v, self.n)
             if f is not None and (lo is None or f > lo):
                 lo = f
-        base = self.stable_from
-        for v in vecs:
-            sup = _support_classes(v, self.n)
-            if sup:
-                base = min(base, min(sup))
+        base = min([self.stable_from] + [i - self.n * e for v in vecs
+                                         for i, w in enumerate(v)
+                                         for e in w.support()])
         if lo is None:
             return base
         return max(lo, base)
@@ -289,15 +277,9 @@ def points_equal(a: GrassPoint, b: GrassPoint) -> bool:
 
 
 def _x_degree_bound(op: MatrixPsiDO) -> int:
-    nx = 0
-    for mat in op.terms.values():
-        for row in mat.rows:
-            for e in row:
-                if e.prec is not None:
-                    nx = max(nx, e.prec)
-                elif e.coeffs:
-                    nx = max(nx, len(e.coeffs))
-    return nx
+    return max((e.degree_bound() + 1 if e.exact else e.prec
+                for mat in op.terms.values() for row in mat.rows
+                for e in row), default=0)
 
 
 def point_from_dressing(s_op: MatrixPsiDO) -> GrassPoint:
@@ -348,7 +330,7 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     for w in cols:
         acts = []
         for m in range(1, depth + 1):
-            u = tuple(_shift_exponents(wp, m) for wp in w)
+            u = tuple(wp * ZLaurent.monomial(m) for wp in w)
             for _ in range(nx):
                 acts.append(u)
                 u = x_action(u)
@@ -362,22 +344,18 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     rows = []
     rhs_rows = []
     for w, acts in zip(cols, actions):
-        hi = min(_prec_key(wp.prec) for wp in w)
-        tops = [e for wp in w for e in wp.coeffs if e >= 1]
-        for u in acts:
-            for p in range(n):
-                hi = min(hi, _prec_key(u[p].prec))
-                tops.extend(e for e in u[p].coeffs if e >= 1)
-        top = max(tops, default=0)
-        for e in range(1, min(top, hi) + 1 if hi != inf else top + 1):
+        series = list(w) + [up for u in acts for up in u]
+        hi = min_prec(series)
+        top = max((e for wp in series for e in wp.support() if e >= 1),
+                  default=0)
+        for e in range(1, top + 1 if hi is None else min(top, hi) + 1):
             row = [Fraction(0)] * nun
             for m in range(1, depth + 1):
                 for l in range(nx):
                     u = acts[(m - 1) * nx + l]
                     for p in range(n):
-                        row[unknown(m, l, p)] = u[p].coeffs.get(
-                            e, Fraction(0))
-            rhsv = [-wp.coeffs.get(e, Fraction(0)) for wp in w]
+                        row[unknown(m, l, p)] = u[p].coeff(e)
+            rhsv = [-wp.coeff(e) for wp in w]
             if any(row) or any(rhsv):
                 rows.append(row)
                 rhs_rows.append(rhsv)
@@ -415,11 +393,7 @@ def stabilizes(point: GrassPoint, g: Matrix) -> bool:
     for col in point.columns:
         if not point.contains(laurent_action(g, col)):
             return False
-    drop = 0
-    for row in g.rows:
-        for e in row:
-            if e.coeffs:
-                drop = max(drop, max(e.coeffs))
+    drop = max([0] + [k for row in g.rows for e in row for k in e.support()])
     for q in range(point.stable_from, point.stable_from + n * (drop + 1)):
         img = laurent_action(g, basis_column(q, n))
         if not point.contains(img):

@@ -63,12 +63,9 @@ def parse_scalar(text) -> Fraction:
 
 
 def xseries_payload(s: XSeries) -> dict:
-    if s.prec is None:
-        coeffs = [fraction_str(c) for c in s.coeffs]
-    else:
-        dense = list(s.coeffs) + [Fraction(0)] * (s.prec - len(s.coeffs))
-        coeffs = [fraction_str(c) for c in dense]
-    return {"coeffs": coeffs, "prec": s.prec}
+    top = s.degree_bound() + 1 if s.exact else s.prec
+    return {"coeffs": [fraction_str(s.coeff(k)) for k in range(top)],
+            "prec": s.prec}
 
 
 def parse_xseries(payload) -> XSeries:
@@ -82,17 +79,10 @@ def parse_xseries(payload) -> XSeries:
 
 def zlaurent_payload(s: ZLaurent) -> dict:
     exact = s.prec is None
-    if exact:
-        if s.coeffs:
-            lo, hi = min(s.coeffs), max(s.coeffs)
-        else:
-            lo = hi = 0
-    else:
-        hi = s.prec
-        lo = min(s.coeffs) if s.coeffs else hi
-    dense = [s.coeffs.get(k, Fraction(0)) for k in range(lo, hi + 1)]
+    sup = s.support() or [0 if exact else s.prec]
+    lo, hi = sup[0], (sup[-1] if exact else s.prec)
     return {
-        "coeffs": [fraction_str(c) for c in dense],
+        "coeffs": [fraction_str(s.coeff(k)) for k in range(lo, hi + 1)],
         "exact": exact,
         "hi": hi,
         "lo": lo,

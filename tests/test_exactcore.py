@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -56,6 +57,33 @@ def test_xseries_product_truncates_to_common_window():
     assert [p.coeff(k) for k in range(3)] == [1, 1, 2]
     with pytest.raises(PrecisionError):
         p.coeff(3)
+
+
+def test_xseries_exact_zero_factor_gives_exact_zero():
+    w = XSeries([1, 2], 4)
+    for p in (XSeries.zero() * w, w * XSeries.zero(), 0 * w):
+        assert p.exact and p.is_zero()
+    # a zero known only on a window keeps the narrower window
+    assert (XSeries([], 3) * w).prec == 3
+    assert (XSeries([], 5) * w).prec == 4
+    assert (XSeries([], 3) * XSeries.one()).prec == 3
+
+
+def test_xseries_items():
+    assert XSeries([1, 0, -2, 0]).items() == [(0, 1), (2, -2)]
+    assert XSeries([0, 3, 0, 5, 7], 4).items() == [(1, 3), (3, 5)]
+    assert XSeries([0, 0], 3).items() == []
+    assert XSeries.zero().items() == []
+
+
+def test_xseries_items_match_coeff_sampled():
+    rng = random.Random(404)
+    for _ in range(60):
+        s = rand_xseries(rng)
+        pairs = s.items()
+        assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
+        top = s.degree_bound() + 1 if s.exact else s.prec
+        assert pairs == [(k, s.coeff(k)) for k in range(top) if s.coeff(k)]
 
 
 def test_xseries_equality_on_common_window():
@@ -134,6 +162,31 @@ def test_zlaurent_order_additive_sampled():
             hits += 1
             assert p.order() == oa + ob
     assert hits > 20
+
+
+def test_zlaurent_items_and_low_bound():
+    exact = ZLaurent({2: 1, -3: Fraction(1, 2), 0: 0, -1: -4})
+    assert exact.items() == [(-3, Fraction(1, 2)), (-1, -4), (2, 1)]
+    assert exact.low_bound() == -3
+    windowed = ZLaurent({-2: 1, 1: 3, 5: 2}, prec=3)
+    assert windowed.items() == [(-2, 1), (1, 3)]
+    assert windowed.low_bound() == -2
+    window_zero = ZLaurent.zero(prec=2)
+    assert window_zero.items() == []
+    assert window_zero.low_bound() == 3
+    assert ZLaurent.zero().items() == []
+    assert ZLaurent.zero().low_bound() == inf
+
+
+def test_zlaurent_items_match_coeff_sampled():
+    rng = random.Random(405)
+    for _ in range(60):
+        a = rand_zlaurent(rng)
+        pairs = a.items()
+        assert [k for k, _ in pairs] == a.support()
+        assert all(c != 0 and a.coeff(k) == c for k, c in pairs)
+        if pairs:
+            assert a.low_bound() == a.valuation() == pairs[0][0]
 
 
 def test_zlaurent_mul_window_rule():
