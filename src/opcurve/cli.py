@@ -443,7 +443,8 @@ def _backward_lines(res):
     if res.charpoly_str is not None:
         lines.append(f"spectral charpoly: {res.charpoly_str}")
     if res.fredholm is None:
-        lines.append("fredholm: not certified at these windows")
+        lines.append("fredholm: not certified at these windows: "
+                     + res.fredholm_reason)
     else:
         lines.append(f"fredholm: h0={res.fredholm.h0} h1={res.fredholm.h1} "
                      f"index={res.fredholm.index}")

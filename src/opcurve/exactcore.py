@@ -723,15 +723,18 @@ def _strip_row(row):
     return row
 
 
+def _integer_row(row):
+    """The row times the least common multiple of its denominators."""
+    fr = [as_fraction(e) for e in row]
+    den = _common_den(fr)
+    return [e.numerator * (den // e.denominator) for e in fr]
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    a = []
-    for row in rows:
-        fr = [as_fraction(e) for e in row]
-        den = _common_den(fr)
-        a.append(_strip_row([int(e * den) for e in fr]))
+    a = [_strip_row(_integer_row(row)) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -796,3 +799,67 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = a[r][ncols]
     return x
+
+
+# Rows of an overdetermined system are chosen modulo this prime.  It only
+# chooses: exact arithmetic decides every answer.
+SELECTION_PRIME = 2**61 - 1
+
+
+def _independent_rows(rows, ncols):
+    """Indices of the first rows, in order, whose leading ncols integer
+    entries are independent modulo SELECTION_PRIME; at most ncols."""
+    p = SELECTION_PRIME
+    basis = []  # (pivot column, reduced row with pivot entry 1)
+    picked = []
+    for idx, row in enumerate(rows):
+        v = [x % p for x in row[:ncols]]
+        for c, b in basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        basis.append((c, [x * inv % p for x in v]))
+        picked.append(idx)
+        if len(picked) == ncols:
+            break
+    return picked
+
+
+def solve_full_rank(rows, rhs_rows):
+    """The unique solution X of A X = B once A is shown to have full
+    column rank, decided by exact arithmetic.
+
+    rows (nonempty) holds A and rhs_rows holds B, row for row; X has one
+    row per column of A and one entry per right-hand side.  Each
+    augmented row is scaled to integers, and as many rows as A has
+    columns are picked that are independent modulo SELECTION_PRIME, hence
+    over the rationals.  rref solves that square system exactly, and
+    every row is then checked exactly against every right-hand side.
+
+    Returns (True, X), or (True, None) when a check fails, which proves
+    the system inconsistent.  Returns (False, None) when fewer rows are
+    independent modulo the prime: either the prime is unlucky or A is
+    rank-deficient, and only an elimination of the whole system decides.
+    """
+    ncols = len(rows[0])
+    aug = [_integer_row(list(row) + list(rhs))
+           for row, rhs in zip(rows, rhs_rows)]
+    picked = _independent_rows(aug, ncols)
+    if len(picked) < ncols:
+        return False, None
+    red, _ = rref([aug[i] for i in picked])
+    sol = [red[j][ncols:] for j in range(ncols)]
+    # each solution column as integer numerators over one denominator
+    for i in range(len(aug[0]) - ncols):
+        col = [row[i] for row in sol]
+        den = _common_den(col)
+        nums = [x.numerator * (den // x.denominator) for x in col]
+        for row in aug:
+            if (sum(a * x for a, x in zip(row, nums) if a)
+                    != row[ncols + i] * den):
+                return True, None
+    return True, sol

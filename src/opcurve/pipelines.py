@@ -147,15 +147,19 @@ def geometric_to_operators(point: GrassPoint, spec: AlgebraSpec,
 
 
 class BackwardResult:
-    """Curve data recovered from a commuting family of operators."""
+    """Curve data recovered from a commuting family of operators.
+
+    fredholm is None when the frame windows do not certify the counts;
+    fredholm_reason then holds the PrecisionError message that says why.
+    """
 
     __slots__ = ("dressing", "inverse", "constants", "spec", "semigroup",
                  "condition", "charpoly", "charpoly_str", "point",
-                 "fredholm", "monic_index")
+                 "fredholm", "fredholm_reason", "monic_index")
 
     def __init__(self, dressing, inverse, constants, spec, semigroup,
                  condition, charpoly, charpoly_str, point, fredholm,
-                 monic_index):
+                 fredholm_reason, monic_index):
         self.dressing = dressing
         self.inverse = inverse
         self.constants = constants
@@ -166,6 +170,7 @@ class BackwardResult:
         self.charpoly_str = charpoly_str
         self.point = point
         self.fredholm = fredholm
+        self.fredholm_reason = fredholm_reason
         self.monic_index = monic_index
 
     def __repr__(self):
@@ -243,12 +248,13 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
             charstr = charpoly_string(charpoly)
             break
     point = point_from_dressing(s)
+    fred = reason = None
     try:
         fred = point.fredholm_report()
-    except PrecisionError:
-        fred = None
+    except PrecisionError as exc:
+        reason = str(exc)
     return BackwardResult(s, t, constants, spec, semi, cond, charpoly,
-                          charstr, point, fred, monic_index)
+                          charstr, point, fred, reason, monic_index)
 
 
 def round_trip(point: GrassPoint, spec: AlgebraSpec, depth=None, nx=None,

@@ -17,7 +17,6 @@ when every contribution to it is guaranteed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf
 
 from .exactcore import (
@@ -31,6 +30,7 @@ from .exactcore import (
     rank,
     rref,
     solve,
+    solve_full_rank,
 )
 from .psidocalc import MatrixPsiDO, is_dressing, invert_dressing
 
@@ -289,6 +289,13 @@ def point_from_dressing(s_op: MatrixPsiDO) -> GrassPoint:
     Stabilization: the dressing moves a standard column by at most its
     depth plus its x-degree bound many classes, so beyond n times that
     budget the standard columns already lie in the subspace.
+
+    The inverse T is tracked down to degree -D with D = 2*budget + 1
+    (or the window of S, if shallower), which keeps every column
+    determined well past the exceptional classes, as the reverse solve
+    needs.  The action reads x^l of t_d only while d + l <= D, and
+    [x^k] t_d depends only on the coefficients of S below x^(k+d), so S
+    is inverted from its coefficients below x^D.
     """
     if not is_dressing(s_op):
         raise DomainError("operator is not a dressing")
@@ -300,10 +307,12 @@ def point_from_dressing(s_op: MatrixPsiDO) -> GrassPoint:
     nx = _x_degree_bound(s_op)
     budget = depth_s + nx
     stable = n * budget
-    # The inverse is truncated in depth only; doubling the window keeps
-    # every column determined well past the exceptional classes, which
-    # the reverse solve needs for full-rank equation systems.
-    t = invert_dressing(s_op, depth=2 * budget + 1)
+    depth = 2 * budget + 1
+    reach = depth if s_op.lo is None else min(depth, -s_op.lo)
+    # truncate_x needs a positive window; at reach 0 the action reads
+    # t_0 = I alone
+    t = invert_dressing(s_op.truncate_x(reach) if reach else s_op,
+                        depth=depth)
     cols = [module_action(t, basis_column(s, n)) for s in range(stable)]
     return GrassPoint(n, cols, stable)
 
@@ -315,6 +324,15 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     are polynomials of degree below nx.  Raises DomainError when no such
     dressing exists or when the frame windows leave the shape
     underdetermined.
+
+    Each column w gives one equation per z-exponent e >= 1 in its window.
+    The unknown coefficient of x^l D^-m meets x^l z^m acting on w, whose
+    coefficient at z^e is w_(e-m-l) q (q+1) ... (q+l-1) with q = e - l;
+    that window lies above w's own, so w's window bounds the rows.  The
+    overdetermined system goes to exactcore.solve_full_rank: rows picked
+    modulo a prime, an exact square solve, an exact check of every row.
+    When it cannot pick enough rows, one rref of the whole system decides,
+    and only that path can find the shape underdetermined.
     """
     n = point.n
     if depth < 1 or nx < 1:
@@ -326,57 +344,59 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     for q in range(point.stable_from, n * (depth + nx)):
         cols.append(basis_column(q, n))
     nun = depth * nx * n
-    actions = []
-    for w in cols:
-        acts = []
-        for m in range(1, depth + 1):
-            u = tuple(wp * ZLaurent.monomial(m) for wp in w)
-            for _ in range(nx):
-                acts.append(u)
-                u = x_action(u)
-        actions.append(acts)
 
     def unknown(m, l, p):
         return ((m - 1) * nx + l) * n + p
 
     # the lhs rows depend only on the action data, so all n component
-    # rows of the dressing share one elimination with n right-hand sides
+    # rows of the dressing share one solve with n right-hand sides
     rows = []
     rhs_rows = []
-    for w, acts in zip(cols, actions):
-        series = list(w) + [up for u in acts for up in u]
-        hi = min_prec(series)
-        top = max((e for wp in series for e in wp.support() if e >= 1),
-                  default=0)
-        for e in range(1, top + 1 if hi is None else min(top, hi) + 1):
-            row = [Fraction(0)] * nun
-            for m in range(1, depth + 1):
-                for l in range(nx):
-                    u = acts[(m - 1) * nx + l]
-                    for p in range(n):
-                        row[unknown(m, l, p)] = u[p].coeff(e)
-            rhsv = [-wp.coeff(e) for wp in w]
-            if any(row) or any(rhsv):
-                rows.append(row)
-                rhs_rows.append(rhsv)
+    for w in cols:
+        hi = min_prec(w)
+        eqs = {k: [0] * nun for wp in w for k in wp.support()
+               if k >= 1 and (hi is None or k <= hi)}
+        for m in range(1, depth + 1):
+            for p, wp in enumerate(w):
+                # x^l acting on z^m w_p: c q (q+1) ... (q+l-1) at z^(q+l)
+                for q, c in (wp * ZLaurent.monomial(m)).items():
+                    val = c
+                    for l in range(nx):
+                        e = q + l
+                        if (hi is not None and e > hi) or not val:
+                            break
+                        if e >= 1:
+                            if e not in eqs:
+                                eqs[e] = [0] * nun
+                            eqs[e][unknown(m, l, p)] = val
+                        val *= e
+        for e in sorted(eqs):
+            rows.append(eqs[e])
+            rhs_rows.append([-wp.coeff(e) for wp in w])
     if not rows:
         raise DomainError("frame windows leave the dressing "
                           "underdetermined at this depth and x-degree")
-    # one augmented elimination answers consistency, uniqueness and all
-    # component solutions at once
-    aug = [row + rv for row, rv in zip(rows, rhs_rows)]
-    red, pivots = rref(aug)
-    if any(p >= nun for p in pivots):
+    full_rank, sol = solve_full_rank(rows, rhs_rows)
+    if not full_rank:
+        # one augmented elimination answers consistency, uniqueness and
+        # all component solutions at once
+        aug = [row + rv for row, rv in zip(rows, rhs_rows)]
+        red, pivots = rref(aug)
+        if any(p >= nun for p in pivots):
+            sol = None
+        elif len(pivots) < nun:
+            raise DomainError("frame windows leave the dressing "
+                              "underdetermined at this depth and x-degree")
+        else:
+            sol = [red[j][nun:] for j in range(nun)]
+    if sol is None:
         raise DomainError("no dressing with this depth and x-degree "
                           "carries the frame onto the standard span")
-    if len(pivots) < nun:
-        raise DomainError("frame windows leave the dressing "
-                          "underdetermined at this depth and x-degree")
     terms = {-m: [[None] * n for _ in range(n)] for m in range(1, depth + 1)}
     for i in range(n):
         for m in range(1, depth + 1):
             for p in range(n):
-                cs = [red[unknown(m, l, p)][nun + i] for l in range(nx)]
+                cs = [sol[unknown(m, l, p)][i] for l in range(nx)]
                 terms[-m][i][p] = XSeries(cs)
     built = {m: Matrix(rows) for m, rows in terms.items()}
     built[0] = Matrix.identity(n, XSeries.one())

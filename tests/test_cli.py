@@ -268,6 +268,30 @@ def test_pipeline_backward_cusp(capsys):
     assert "constant 1: z^-3" in out
     assert "genus: 1" in out
     assert "condition satisfied: yes" in out
+    assert out[-1] == ("fredholm: not certified at these windows: column "
+                       "windows do not determine the coordinates down to "
+                       "class 0")
+
+
+def test_pipeline_backward_cusp_json_keeps_null_fredholm(capsys):
+    code, out, _ = run(capsys, "--json", "--depth", "6", "pipeline",
+                       "backward", CUSP_P, CUSP_Q)
+    assert code == 0
+    obj = json.loads("\n".join(out))
+    assert sorted(obj) == ["charpoly", "condition", "constants", "dressing",
+                           "fredholm", "monic_index", "point", "semigroup"]
+    assert obj["fredholm"] is None
+
+
+def test_pipeline_backward_depth_zero(capsys):
+    # at depth 0 the dressing is the identity and the frame is the
+    # standard span, whose counts are certified
+    code, out, err = run(capsys, "--depth", "0", "pipeline", "backward",
+                         CUSP_P, CUSP_Q)
+    assert code == 0
+    assert err == ""
+    assert "dressing: (1)" in out
+    assert out[-1] == "fredholm: h0=0 h1=0 index=0"
 
 
 # -- sessions and flags -----------------------------------------------

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from opcurve import exactcore
 from opcurve.exactcore import (
     DomainError,
     Matrix,
@@ -13,8 +14,10 @@ from opcurve.exactcore import (
     char_coefficients,
     nullspace,
     rank,
+    SELECTION_PRIME,
     rref,
     solve,
+    solve_full_rank,
 )
 
 
@@ -324,3 +327,81 @@ def test_solve_consistent_and_inconsistent():
     assert solve([[1, 1], [2, 2]], [1, 3]) is None
     # underdetermined systems pick the free-variables-zero answer
     assert solve([[1, 1]], [5]) == [5, 0]
+
+
+# -- the row-selected certified solve ------------------------------------
+
+def _counting_rref(monkeypatch):
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(exactcore, "rref", counted)
+    return sizes
+
+
+def _system(rng, nrows, ncols, nrhs):
+    x = [[rand_fraction(rng) for _ in range(nrhs)] for _ in range(ncols)]
+    a = [[rand_fraction(rng) for _ in range(ncols)] for _ in range(nrows)]
+    b = [[sum(row[j] * x[j][i] for j in range(ncols)) for i in range(nrhs)]
+         for row in a]
+    return a, b, x
+
+
+def test_solve_full_rank_solves_only_a_square_system(monkeypatch):
+    sizes = _counting_rref(monkeypatch)
+    a, b, x = _system(random.Random(77), 12, 4, 2)
+    assert solve_full_rank(a, b) == (True, x)
+    assert sizes == [4]
+
+
+def test_solve_full_rank_inconsistent_by_residual(monkeypatch):
+    sizes = _counting_rref(monkeypatch)
+    a, b, _ = _system(random.Random(78), 12, 4, 2)
+    b[9][1] += 1
+    assert solve_full_rank(a, b) == (True, None)
+    assert sizes == [4]
+    # a row with a zero left-hand side is never picked, only checked
+    a, b, _ = _system(random.Random(79), 6, 3, 1)
+    assert solve_full_rank(a + [[0, 0, 0]], b + [[Fraction(1, 3)]]) == (
+        True, None)
+
+
+def test_solve_full_rank_leaves_rank_deficient_systems_to_rref(monkeypatch):
+    sizes = _counting_rref(monkeypatch)
+    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]]
+    for b in ([[6], [12], [2], [4]], [[6], [11], [2], [4]]):
+        assert solve_full_rank(a, b) == (False, None)
+    assert sizes == []
+
+
+def test_solve_full_rank_unlucky_prime_is_undecided_not_wrong():
+    # independent over the rationals, dependent modulo the prime
+    a = [[1, 0], [0, SELECTION_PRIME], [1, SELECTION_PRIME]]
+    b = [[Fraction(1, 2)], [SELECTION_PRIME],
+         [Fraction(1, 2) + SELECTION_PRIME]]
+    assert solve_full_rank(a, b) == (False, None)
+    assert rank(a) == 2
+
+
+def test_solve_full_rank_agrees_with_rref_sampled():
+    rng = random.Random(80)
+    decided = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 4)
+        a = [[rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(ncols)]
+             for _ in range(nrows)]
+        b = [[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(nrows)]
+        red, pivots = rref([row + rhs for row, rhs in zip(a, b)])
+        full_rank, x = solve_full_rank(a, b)
+        assert full_rank == (rank(a) == ncols)
+        if not full_rank:
+            assert x is None
+        elif any(p >= ncols for p in pivots):
+            assert x is None
+        else:
+            assert x == [red[j][ncols:] for j in range(ncols)]
+            decided += 1
+    assert decided > 5

@@ -119,6 +119,8 @@ def test_backward_cusp_pair():
     # at any finite window here; None is the honest report.
     assert res.point is not None
     assert res.fredholm is None
+    assert res.fredholm_reason == ("column windows do not determine the "
+                                   "coordinates down to class 0")
 
 
 def test_backward_rejects_noncommuting():

@@ -7,11 +7,14 @@ import pytest
 
 from opcurve.exactcore import (
     DomainError,
+    ExactError,
     Matrix,
     XSeries,
     ZLaurent,
+    min_prec,
+    rref,
 )
-from opcurve.psidocalc import MatrixPsiDO, invert_dressing
+from opcurve.psidocalc import MatrixPsiDO, dress_to_constant, invert_dressing
 from opcurve.sato import (
     GrassPoint,
     basis_column,
@@ -271,3 +274,190 @@ def test_dressing_round_trip_sampled():
 def test_no_dressing_off_the_big_cell():
     with pytest.raises(DomainError):
         dressing_from_point(cusp_point(), depth=2, nx=2)
+
+
+# -- the frame round trip against references built from public pieces ---
+#
+# point_from_dressing inverts only the x-window the action reads, and
+# dressing_from_point builds its rows in closed form and solves them by a
+# row-selected exact solve.  The references below do neither: they invert
+# the whole dressing, act on the basis columns, build every row from
+# x_action, and reduce the full system with rref.
+
+def _reference_point(s):
+    n = s.n
+    if s.lo is not None:
+        depth_s = -s.lo
+    else:
+        depth_s = max((-m for m in s.terms), default=0)
+    nx = max((e.degree_bound() + 1 if e.exact else e.prec
+              for mat in s.terms.values() for row in mat.rows for e in row),
+             default=0)
+    budget = depth_s + nx
+    t = invert_dressing(s, depth=2 * budget + 1)
+    cols = [module_action(t, basis_column(c, n)) for c in range(n * budget)]
+    return cols, n * budget
+
+
+def _assert_same_columns(point, cols, stable):
+    assert point.stable_from == stable
+    assert len(point.columns) == len(cols)
+    for got, want in zip(point.columns, cols):
+        for a, b in zip(got, want):
+            assert a.prec == b.prec
+            assert a.items() == b.items()
+            if a.prec is not None:
+                lo = min([0, a.prec] + a.support())
+                for k in range(lo, a.prec + 1):
+                    assert a.coeff(k) == b.coeff(k)
+
+
+def _rand_dressing(rng, n, depth, nx, zero_rate=0.0):
+    terms = {0: Matrix.identity(n, XSeries.one())}
+    for m in range(1, depth + 1):
+        terms[-m] = Matrix([[XSeries.zero() if rng.random() < zero_rate
+                             else XSeries([Fraction(rng.randint(-9, 9),
+                                                    rng.randint(1, 9))
+                                           for _ in range(nx)])
+                             for _ in range(n)] for _ in range(n)])
+    return MatrixPsiDO(n, terms)
+
+
+def _shifted_cusp(c, xprec):
+    u = XSeries([c, 1])
+    inv2 = (u * u).inverse(xprec)
+    return MatrixPsiDO.from_scalars({2: XSeries.one(), 0: inv2.scale(-2)})
+
+
+def _exact_dressings():
+    rng = random.Random(5151)
+    out = [MatrixPsiDO.identity(1), MatrixPsiDO.identity(2)]
+    for n, depth, nx in ((1, 1, 3), (1, 3, 2), (2, 1, 2), (2, 2, 2),
+                         (3, 1, 2)):
+        out.append(_rand_dressing(rng, n, depth, nx))
+    # exact-zero entries beside nonzero ones
+    for n, depth, nx in ((2, 2, 2), (3, 1, 2)):
+        out.append(_rand_dressing(rng, n, depth, nx, zero_rate=0.4))
+    return out
+
+
+def _windowed_dressings():
+    return [dress_to_constant(_shifted_cusp(c, xprec), depth=d)
+            for c, xprec, d in ((1, 12, 0), (1, 12, 1), (2, 8, 3),
+                                (Fraction(1, 2), 12, 5), (3, 10, 6))]
+
+
+def test_point_from_dressing_matches_full_inverse_exact():
+    for s in _exact_dressings():
+        cols, stable = _reference_point(s)
+        _assert_same_columns(point_from_dressing(s), cols, stable)
+
+
+def test_point_from_dressing_matches_full_inverse_windowed():
+    for s in _windowed_dressings():
+        cols, stable = _reference_point(s)
+        _assert_same_columns(point_from_dressing(s), cols, stable)
+
+
+def _reference_dressing(point, depth, nx):
+    n = point.n
+    if not point.columns and point.stable_from == 0:
+        return MatrixPsiDO.identity(n)
+    cols = list(point.columns)
+    cols += [basis_column(q, n)
+             for q in range(point.stable_from, n * (depth + nx))]
+    nun = depth * nx * n
+    aug = []
+    for w in cols:
+        acts = []  # acts[(m - 1) * nx + l] is x^l z^m w
+        for m in range(1, depth + 1):
+            u = tuple(wp * ZLaurent.monomial(m) for wp in w)
+            for _ in range(nx):
+                acts.append(u)
+                u = x_action(u)
+        series = list(w) + [up for u in acts for up in u]
+        hi = min_prec(series)
+        top = max((e for wp in series for e in wp.support() if e >= 1),
+                  default=0)
+        for e in range(1, top + 1 if hi is None else min(top, hi) + 1):
+            row = [u[p].coeff(e) for u in acts for p in range(n)]
+            rhs = [-wp.coeff(e) for wp in w]
+            if any(row) or any(rhs):
+                aug.append(row + rhs)
+    if not aug:
+        raise DomainError("frame windows leave the dressing "
+                          "underdetermined at this depth and x-degree")
+    red, pivots = rref(aug)
+    if any(p >= nun for p in pivots):
+        raise DomainError("no dressing with this depth and x-degree "
+                          "carries the frame onto the standard span")
+    if len(pivots) < nun:
+        raise DomainError("frame windows leave the dressing "
+                          "underdetermined at this depth and x-degree")
+    terms = {0: Matrix.identity(n, XSeries.one())}
+    for m in range(1, depth + 1):
+        terms[-m] = Matrix([[XSeries([red[((m - 1) * nx + l) * n + p][nun + i]
+                                      for l in range(nx)])
+                             for p in range(n)] for i in range(n)])
+    return MatrixPsiDO(n, terms)
+
+
+def _outcome(fn):
+    try:
+        out = fn()
+    except ExactError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(out), out.lo
+
+
+def _assert_same_dressing(point, depth, nx):
+    got = _outcome(lambda: dressing_from_point(point, depth, nx))
+    want = _outcome(lambda: _reference_dressing(point, depth, nx))
+    assert got == want
+    return got
+
+
+def _perturbed(point):
+    # bump one certified coefficient of the first column
+    col = list(point.columns[0])
+    w = col[0]
+    k = w.support()[0] + 1
+    assert w.known(k)
+    col[0] = w + ZLaurent.monomial(k)
+    return GrassPoint(point.n, [tuple(col)] + list(point.columns[1:]),
+                      point.stable_from)
+
+
+def test_dressing_from_point_matches_full_elimination():
+    rng = random.Random(6262)
+    seen = set()
+    for n, depth, nx in ((1, 2, 3), (1, 3, 2), (2, 1, 2), (2, 2, 2)):
+        s = _rand_dressing(rng, n, depth, nx)
+        point = point_from_dressing(s)
+        assert _assert_same_dressing(point, depth, nx) == (repr(s), None)
+        for dd, nn in ((1, 1), (depth + 1, nx), (depth, nx + 1)):
+            seen.add(_assert_same_dressing(point, dd, nn)[0])
+        # full column rank, but the perturbed column fits no dressing
+        bad = _assert_same_dressing(_perturbed(point), depth, nx)
+        assert bad[0] == "DomainError" and "no dressing" in bad[1]
+    assert "DomainError" in seen and len(seen) > 1
+
+
+def test_dressing_from_point_windowed_columns_match_full_elimination():
+    outcomes = set()
+    for s in _windowed_dressings():
+        point = point_from_dressing(s)
+        for depth, nx in ((1, 1), (2, 3), (3, 2)):
+            outcomes.add(_assert_same_dressing(point, depth, nx)[1])
+    # the windows leave some shapes underdetermined and rule others out
+    assert any("underdetermined" in str(o) for o in outcomes)
+    assert any("no dressing" in str(o) for o in outcomes)
+    frame = GrassPoint(1, [(ZLaurent({0: 1, 1: 1, 2: 1}, 3),)], 1)
+    _assert_same_dressing(frame, 1, 1)
+    _assert_same_dressing(frame, 1, 2)
+
+
+def test_dressing_from_point_underdetermined_matches_full_elimination():
+    got = _assert_same_dressing(cusp_point(), 2, 2)
+    assert got == ("DomainError", "frame windows leave the dressing "
+                   "underdetermined at this depth and x-degree")
