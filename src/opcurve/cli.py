@@ -62,6 +62,10 @@ EXIT_SYNTAX = 2
 EXIT_DOMAIN = 3
 EXIT_PRECISION = 4
 
+# Largest conductor whose member/gap table the human semigroup output
+# prints; --json always lists every gap.
+TABLE_CAP = 1000
+
 
 # -- operand helpers -------------------------------------------------
 
@@ -322,10 +326,14 @@ def _semigroup_lines(rep):
     lines = [f"orders: {gens} (rank {rep.rank}, reduced: {reduced})",
              f"conductor: {rep.conductor}",
              f"genus: {rep.genus}"]
-    gaps = set(rep.gaps)
-    marks = " ".join(f"{k}:{'-' if k in gaps else '+'}"
-                     for k in range(rep.conductor + 1))
-    lines.append(f"table (members +, gaps -): {marks}")
+    if rep.conductor <= TABLE_CAP:
+        gaps = set(rep.gaps)
+        marks = " ".join(f"{k}:{'-' if k in gaps else '+'}"
+                         for k in range(rep.conductor + 1))
+        lines.append(f"table (members +, gaps -): {marks}")
+    else:
+        lines.append(f"table omitted: conductor {rep.conductor} exceeds "
+                     f"{TABLE_CAP}; {rep.genus} gaps, listed by --json")
     if rep.coprime_bound is not None:
         lines.append(f"coprime pair bound: {rep.coprime_bound}")
     return lines
@@ -429,7 +437,12 @@ def _backward_obj(res):
 
 
 def _backward_lines(res):
-    lines = [f"monic operator index: {res.monic_index}",
+    if len(res.monic_factors) == 1:
+        monic = f"monic operator index: {res.monic_index}"
+    else:
+        monic = ("monic operator: product of operators "
+                 f"{res.monic_factors[0]} and {res.monic_factors[1]}")
+    lines = [monic,
              "dressing: " + print_value(res.dressing)]
     for i, c in enumerate(res.constants):
         val = c.rows[0][0] if c.n == 1 else c

@@ -18,7 +18,8 @@ the window cannot distinguish a dependent row from an undetected one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, inf
 
 from .exactcore import (
     DimensionError,
@@ -27,7 +28,8 @@ from .exactcore import (
     PrecisionError,
     ZLaurent,
     char_coefficients,
-    rank,
+    rank,  # unused here, but bench/test_bench.py reads curvedata.rank
+    rref,
 )
 
 __all__ = [
@@ -47,6 +49,9 @@ __all__ = [
     "semigroup_report",
     "spectral_charpoly",
 ]
+
+# Cap on a semigroup's smallest reduced generator and on its conductor.
+MAX_CONDUCTOR = 10**6
 
 
 class AlgebraSpec:
@@ -152,10 +157,12 @@ class SemigroupReport:
 def semigroup_report(orders) -> SemigroupReport:
     """Gap structure of the semigroup generated by the given orders.
 
-    Membership is computed by dynamic programming; the table grows until
-    min(reduced) consecutive members appear, past which every integer is
-    a member, so the enumeration is complete without any closed-form
-    Frobenius bound.  The classical two-generator bound ab - a - b is
+    The orders are reduced by their gcd.  The Apery set Ap of the least
+    reduced generator a holds the least member of each residue class mod
+    a, found by one shortest-path pass over the residues.  A member plus
+    copies of a stays a member, so k is a gap iff k < Ap[k mod a], and
+    the conductor is max(Ap) - a + 1.  Both a and the conductor are
+    capped at MAX_CONDUCTOR.  The two-generator bound ab - a - b is
     reported when some pair of reduced generators is coprime.
     """
     generators = sorted({int(o) for o in orders if int(o) > 0})
@@ -163,30 +170,26 @@ def semigroup_report(orders) -> SemigroupReport:
         raise DomainError("need at least one positive order")
     r = gcd(*generators)
     reduced = [g // r for g in generators]
-    bound = None
-    for i, a in enumerate(reduced):
-        for b in reduced[i + 1:]:
-            if gcd(a, b) == 1:
-                c = a * b - a - b
-                if bound is None or c < bound:
-                    bound = c
+    bound = min((a * b - a - b for i, a in enumerate(reduced)
+                 for b in reduced[i + 1:] if gcd(a, b) == 1), default=None)
     lead = reduced[0]
-    size = max(reduced) + 1
-    member = None
-    conductor = None
-    while conductor is None:
-        size *= 2
-        member = [False] * size
-        member[0] = True
-        for k in range(1, size):
-            member[k] = any(k >= g and member[k - g] for g in reduced)
-        run = 0
-        for k in range(size):
-            run = run + 1 if member[k] else 0
-            if run == lead:
-                conductor = max(0, k - lead + 1)
-                break
-    gaps = [k for k in range(1, conductor) if not member[k]]
+    if lead > MAX_CONDUCTOR:
+        raise DomainError(f"smallest reduced generator {lead} exceeds "
+                          f"MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+    apery = [0] + [inf] * (lead - 1)
+    heap = [(0, 0)]
+    while heap:
+        m, res = heappop(heap)
+        for g in reduced[1:]:
+            nres = (res + g) % lead
+            if m + g < apery[nres]:
+                apery[nres] = m + g
+                heappush(heap, (m + g, nres))
+    conductor = max(apery) - lead + 1
+    if conductor > MAX_CONDUCTOR:
+        raise DomainError(f"conductor {conductor} exceeds "
+                          f"MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+    gaps = [k for k in range(1, conductor) if k < apery[k % lead]]
     return SemigroupReport(generators, r, reduced, conductor, gaps, bound)
 
 
@@ -235,9 +238,6 @@ def _laurent_rref(rows):
 
 def laurent_span_dim(rows) -> int:
     """Dimension over the Laurent series field of the span of the rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
     return len(_laurent_rref(rows))
 
 
@@ -384,14 +384,12 @@ def filtration_piece(spec: AlgebraSpec, bound: int) -> FiltrationReport:
                 continue
             seen.add(nxt)
             monos.append((nxt, g * mat))
-    flats = []
-    picked = []
-    for expo, mat in sorted(monos, key=lambda t: (sum(t[0]), t[0])):
-        stacked = _constant_rows(flats + [_flatten(mat)])
-        if rank(stacked) > len(flats):
-            flats.append(_flatten(mat))
-            picked.append(expo)
-    return FiltrationReport(bound, len(flats), picked)
+    monos.sort(key=lambda t: (sum(t[0]), t[0]))
+    # the pivot columns of an echelon form are the in-order greedy
+    # independent set, so one rref of the transpose picks the basis
+    rows = _constant_rows([_flatten(mat) for _, mat in monos])
+    picked = [monos[i][0] for i in rref([list(c) for c in zip(*rows)])[1]]
+    return FiltrationReport(bound, len(picked), picked)
 
 
 # -- characteristic data ------------------------------------------------

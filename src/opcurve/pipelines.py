@@ -155,11 +155,11 @@ class BackwardResult:
 
     __slots__ = ("dressing", "inverse", "constants", "spec", "semigroup",
                  "condition", "charpoly", "charpoly_str", "point",
-                 "fredholm", "fredholm_reason", "monic_index")
+                 "fredholm", "fredholm_reason", "monic_factors")
 
     def __init__(self, dressing, inverse, constants, spec, semigroup,
                  condition, charpoly, charpoly_str, point, fredholm,
-                 fredholm_reason, monic_index):
+                 fredholm_reason, monic_factors):
         self.dressing = dressing
         self.inverse = inverse
         self.constants = constants
@@ -171,34 +171,39 @@ class BackwardResult:
         self.point = point
         self.fredholm = fredholm
         self.fredholm_reason = fredholm_reason
-        self.monic_index = monic_index
+        self.monic_factors = monic_factors
+
+    @property
+    def monic_index(self):
+        """Index of the dressed operator, or of its first factor."""
+        return self.monic_factors[0]
 
     def __repr__(self):
         return (f"BackwardResult(genus={self.semigroup.genus}, "
                 f"charpoly={self.charpoly_str!r})")
 
 
+def _is_monic(p):
+    try:
+        r, monic = order_and_monicity(p)
+    except (DomainError, PrecisionError):
+        return False
+    return monic and r >= 1
+
+
 def _find_monic(ops):
     # An operator with identity leading coefficient, searched among the
-    # given family and then among its small powers and products.
+    # given family and then among its pairwise products, each tested as
+    # it is formed.  Returns it with its factor indices: (i,) for a
+    # member of the family, (i, j) for the product P_i o P_j.
     for i, p in enumerate(ops):
-        try:
-            r, monic = order_and_monicity(p)
-        except (DomainError, PrecisionError):
-            continue
-        if monic and r >= 1:
-            return p, i
-    candidates = []
+        if _is_monic(p):
+            return p, (i,)
     for i, p in enumerate(ops):
         for j, q in enumerate(ops):
-            candidates.append((p * q, i))
-    for c, i in candidates:
-        try:
-            r, monic = order_and_monicity(c)
-        except (DomainError, PrecisionError):
-            continue
-        if monic and r >= 1:
-            return c, i
+            c = p * q
+            if _is_monic(c):
+                return c, (i, j)
     raise DomainError("no operator in the family, nor any pairwise "
                       "product, has an identity leading coefficient")
 
@@ -219,7 +224,7 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
     for i, p in enumerate(ops):
         if not p.is_differential_shape():
             raise DomainError(f"operator {i} is not differential")
-    monic, monic_index = _find_monic(ops)
+    monic, monic_factors = _find_monic(ops)
     s = dress_to_constant(monic, depth=depth)
     t = invert_dressing(s, depth=depth)
     constants = []
@@ -254,7 +259,7 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
     except PrecisionError as exc:
         reason = str(exc)
     return BackwardResult(s, t, constants, spec, semi, cond, charpoly,
-                          charstr, point, fred, reason, monic_index)
+                          charstr, point, fred, reason, monic_factors)
 
 
 def round_trip(point: GrassPoint, spec: AlgebraSpec, depth=None, nx=None,

@@ -199,6 +199,50 @@ def test_semigroup_needs_input(capsys):
     assert "--orders" in err
 
 
+def test_semigroup_table_up_to_cap(capsys):
+    code, out, _ = run(capsys, "curve", "semigroup", "--orders", "32,33")
+    assert code == 0
+    assert out[1] == "conductor: 992"
+    assert out[3].startswith("table (members +, gaps -): 0:+ 1:- ")
+    assert out[3].endswith(" 991:- 992:+")
+
+
+def test_semigroup_table_above_cap(capsys):
+    code, out, _ = run(capsys, "curve", "semigroup", "--orders", "33,34")
+    assert code == 0
+    assert out == ["orders: 33, 34 (rank 1, reduced: 33, 34)",
+                   "conductor: 1056",
+                   "genus: 528",
+                   "table omitted: conductor 1056 exceeds 1000; 528 gaps, "
+                   "listed by --json",
+                   "coprime pair bound: 1055"]
+
+
+def test_semigroup_large_output_is_bounded(capsys):
+    code = main(["curve", "semigroup", "--orders", "1000,1001"])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert len(text.encode()) < 1024
+    code, out, _ = run(capsys, "--json", "curve", "semigroup",
+                       "--orders", "1000,1001")
+    assert code == 0
+    # k = 1000q + r is in <1000, 1001> iff r <= q
+    gaps = json.loads("\n".join(out))["gaps"]
+    assert gaps == [k for k in range(1, 999000) if k % 1000 > k // 1000]
+
+
+@pytest.mark.parametrize("orders,text", [
+    ("2000,2001", "conductor 3998000 exceeds MAX_CONDUCTOR = 1000000"),
+    ("1000000000,1000000001",
+     "smallest reduced generator 1000000000 exceeds MAX_CONDUCTOR"),
+])
+def test_semigroup_over_cap_is_a_domain_error(capsys, orders, text):
+    code, out, err = run(capsys, "curve", "semigroup", "--orders", orders)
+    assert code == 3
+    assert out == []
+    assert text in err
+
+
 def test_filtration_dimension(capsys):
     code, out, _ = run(capsys, "curve", "filtration", "--bound", "6",
                        "z^-2", "z^-3")
@@ -281,6 +325,17 @@ def test_pipeline_backward_cusp_json_keeps_null_fredholm(capsys):
     assert sorted(obj) == ["charpoly", "condition", "constants", "dressing",
                            "fredholm", "monic_index", "point", "semigroup"]
     assert obj["fredholm"] is None
+
+
+def test_pipeline_backward_names_product_factors(capsys):
+    # J is not monic, J o J = Dx * I is: the line names both factors
+    code, out, _ = run(capsys, "pipeline", "backward", "[[0,1],[Dx,0]]")
+    assert code == 0
+    assert out[0] == "monic operator: product of operators 0 and 0"
+    assert "constant 0: [[0, 1], [z^-1, 0]]" in out
+    code, out, _ = run(capsys, "--json", "pipeline", "backward",
+                       "[[0,1],[Dx,0]]")
+    assert json.loads("\n".join(out))["monic_index"] == 0
 
 
 def test_pipeline_backward_depth_zero(capsys):

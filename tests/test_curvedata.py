@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from opcurve.curvedata import (
+    MAX_CONDUCTOR,
     AlgebraSpec,
+    _constant_rows,
+    _flatten,
     algebra_orders,
     cayley_hamilton_holds,
     charpoly_string,
@@ -22,6 +26,7 @@ from opcurve.exactcore import (
     Matrix,
     PrecisionError,
     ZLaurent,
+    rank,
 )
 
 
@@ -99,6 +104,140 @@ def test_semigroup_without_coprime_pair():
     assert rep.gaps[:5] == [1, 2, 3, 4, 5]
     assert 29 in rep.gaps
     assert 28 not in rep.gaps
+
+
+def test_semigroup_caps():
+    rep = semigroup_report([1000, 1001])
+    assert rep.conductor == 999000 <= MAX_CONDUCTOR
+    assert rep.genus == 499500
+    with pytest.raises(DomainError, match="conductor 3998000 exceeds "
+                       "MAX_CONDUCTOR"):
+        semigroup_report([2000, 2001])
+    # rejected on the generator alone: no Apery list of 10^9 entries
+    with pytest.raises(DomainError, match="smallest reduced generator "
+                       "1000000000 exceeds MAX_CONDUCTOR"):
+        semigroup_report([10**9, 10**9 + 1])
+
+
+# The doubling-table semigroup and the per-candidate rank filtration the
+# Apery set and the single elimination replaced, kept as oracles.
+
+def doubling_semigroup(orders):
+    generators = sorted({int(o) for o in orders if int(o) > 0})
+    r = gcd(*generators)
+    reduced = [g // r for g in generators]
+    bound = None
+    for i, a in enumerate(reduced):
+        for b in reduced[i + 1:]:
+            if gcd(a, b) == 1:
+                c = a * b - a - b
+                if bound is None or c < bound:
+                    bound = c
+    lead = reduced[0]
+    size = max(reduced) + 1
+    member = None
+    conductor = None
+    while conductor is None:
+        size *= 2
+        member = [False] * size
+        member[0] = True
+        for k in range(1, size):
+            member[k] = any(k >= g and member[k - g] for g in reduced)
+        run = 0
+        for k in range(size):
+            run = run + 1 if member[k] else 0
+            if run == lead:
+                conductor = max(0, k - lead + 1)
+                break
+    gaps = [k for k in range(1, conductor) if not member[k]]
+    return {"generators": generators, "rank": r, "reduced": reduced,
+            "conductor": conductor, "gaps": gaps, "genus": len(gaps),
+            "coprime_bound": bound}
+
+
+def per_candidate_filtration(spec, bound):
+    mats = spec.matrices()
+    orders = algebra_orders(spec)
+    if bound < 0:
+        return {"bound": bound, "dim": 0, "monomials": []}
+    monos = [((0,) * len(mats), Matrix.identity(spec.n, ZLaurent.one()))]
+    seen = {monos[0][0]}
+    k = 0
+    while k < len(monos):
+        expo, mat = monos[k]
+        k += 1
+        for gi, g in enumerate(mats):
+            cost = sum(e * o for e, o in zip(expo, orders)) + orders[gi]
+            if cost > bound:
+                continue
+            nxt = tuple(e + (1 if j == gi else 0)
+                        for j, e in enumerate(expo))
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            monos.append((nxt, g * mat))
+    flats = []
+    picked = []
+    for expo, mat in sorted(monos, key=lambda t: (sum(t[0]), t[0])):
+        stacked = _constant_rows(flats + [_flatten(mat)])
+        if rank(stacked) > len(flats):
+            flats.append(_flatten(mat))
+            picked.append(expo)
+    return {"bound": bound, "dim": len(flats),
+            "monomials": [list(m) for m in picked]}
+
+
+def seeded_order_sets():
+    rng = random.Random(2007)
+    sets = [[1], [1, 5, 9], [7, 7], [5, 5, 8], [4, 6, 9], [6, 10, 15],
+            [12, 18, 30], [3, 3, 3]]
+    while len(sets) < 320:
+        gens = [rng.randint(1, 60) for _ in range(rng.randint(1, 4))]
+        shape = rng.random()
+        if shape < 0.2:
+            gens = [g * rng.randint(2, 5) for g in gens]
+        elif shape < 0.3:
+            gens.append(1)
+        elif shape < 0.4:
+            gens.append(rng.choice(gens))
+        rng.shuffle(gens)
+        sets.append(gens)
+    return sets
+
+
+def test_semigroup_matches_doubling_table():
+    sets = seeded_order_sets()
+    assert any(gcd(*s) > 1 for s in sets)
+    assert any(1 in s for s in sets)
+    assert any(len(set(s)) < len(s) for s in sets)
+    for orders in sets:
+        assert semigroup_report(orders).as_dict() == \
+            doubling_semigroup(orders), orders
+
+
+def j_n(n):
+    rows = [[ZLaurent.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = ZLaurent.one()
+    rows[n - 1][0] = zmono(-1)
+    return Matrix(rows)
+
+
+def test_filtration_matches_per_candidate_rank():
+    rng = random.Random(2009)
+    specs = [scalar_alg(rng.randint(1, 7), rng.randint(1, 7))
+             for _ in range(4)]
+    specs += [AlgebraSpec(n, [j_n(n)]) for n in (2, 3, 4)]
+    specs.append(scalar_alg(3, 5, 7))
+    specs.append(AlgebraSpec(2, diag_gens=[zmono(-2), zmono(-3)]))
+    specs.append(AlgebraSpec(2, [
+        Matrix([[zmono(-2), ZLaurent.zero()], [ZLaurent.zero(), zmono(-3)]]),
+        Matrix([[ZLaurent({-3: 1, 0: 2}), ZLaurent.zero()],
+                [ZLaurent.zero(), zmono(-1)]])]))
+    for spec in specs:
+        for bound in range(-1, 15):
+            assert filtration_piece(spec, bound).as_dict() == \
+                per_candidate_filtration(spec, bound), (spec, bound)
 
 
 # -- filtration ---------------------------------------------------------

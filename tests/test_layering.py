@@ -1,17 +1,23 @@
-"""exactcore alone knows how series store their coefficients.
+"""exactcore alone knows how series store their coefficients, and the
+benchmark's traced layers still name the library.
 
 Every other library module reads XSeries and ZLaurent through their
 methods.  This walks the syntax tree of each module under src/opcurve
 except exactcore.py and fails on a read of the storage attributes or on a
-private name of exactcore.
+private name of exactcore.  The benchmark wraps the functions listed in
+bench/layers.py; the last tests check that each of them still exists.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "opcurve"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "opcurve"
 STORAGE_ATTRS = {"coeffs", "_low_bound", "_at"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "exactcore.py")
 
@@ -59,3 +65,38 @@ def test_checker_flags_storage_reads_and_private_imports(tmp_path):
                    "    return s.coeffs, w._low_bound(), s._at(0)\n")
     found = violations(bad)
     assert len(found) == 6, found
+
+
+def _bench_layers():
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", ROOT / "bench" / "layers.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.LAYERS
+
+
+def test_every_traced_layer_resolves():
+    layers = _bench_layers()
+    assert layers
+    for layer in layers:
+        home = importlib.import_module(f"opcurve.{layer.module}")
+        if "." in layer.attr:
+            cls_name, meth = layer.attr.split(".")
+            cls = getattr(home, cls_name, None)
+            assert inspect.isclass(cls), layer.name
+            raw = cls.__dict__.get(meth)
+            if isinstance(raw, classmethod):
+                raw = raw.__func__
+            assert inspect.isfunction(raw), layer.name
+        else:
+            # bound in the module; it may be a re-export
+            assert inspect.isfunction(getattr(home, layer.attr, None)), \
+                layer.name
+
+
+def test_names_the_benchmark_test_reads_are_bound():
+    # bench/test_bench.py checks that the tracer patches and restores
+    # these re-exports
+    from opcurve import curvedata, exactcore, sato
+    assert sato.rref is exactcore.rref
+    assert curvedata.rank is exactcore.rank

@@ -113,6 +113,7 @@ def test_backward_cusp_pair():
     assert res.semigroup.genus == 1
     assert res.condition is not None and res.condition.satisfied
     assert res.monic_index == 0
+    assert res.monic_factors == (0,)
     # The cusp dressing has truncated x-series coefficients, so the frame
     # columns carry z-window floors far above the stabilization bound that
     # an unknown x-tail forces.  A certified Fredholm count is out of reach
