@@ -52,6 +52,10 @@ __all__ = [
 
 # Cap on a semigroup's smallest reduced generator and on its conductor.
 MAX_CONDUCTOR = 10**6
+# Cap on a * g for the smallest reduced generator a and the number g of
+# reduced generators.  The Apery pass does work proportional to a * g, so
+# this bounds its time before it starts.
+MAX_APERY_WORK = 2 * 10**6
 
 
 class AlgebraSpec:
@@ -162,20 +166,25 @@ def semigroup_report(orders) -> SemigroupReport:
     a, found by one shortest-path pass over the residues.  A member plus
     copies of a stays a member, so k is a gap iff k < Ap[k mod a], and
     the conductor is max(Ap) - a + 1.  Both a and the conductor are
-    capped at MAX_CONDUCTOR.  The two-generator bound ab - a - b is
-    reported when some pair of reduced generators is coprime.
+    capped at MAX_CONDUCTOR, and a times the generator count at
+    MAX_APERY_WORK.  The two-generator bound ab - a - b is reported
+    when some pair of reduced generators is coprime.
     """
     generators = sorted({int(o) for o in orders if int(o) > 0})
     if not generators:
         raise DomainError("need at least one positive order")
     r = gcd(*generators)
     reduced = [g // r for g in generators]
-    bound = min((a * b - a - b for i, a in enumerate(reduced)
-                 for b in reduced[i + 1:] if gcd(a, b) == 1), default=None)
     lead = reduced[0]
     if lead > MAX_CONDUCTOR:
         raise DomainError(f"smallest reduced generator {lead} exceeds "
                           f"MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+    if lead * len(reduced) > MAX_APERY_WORK:
+        raise DomainError(f"smallest reduced generator {lead} times "
+                          f"{len(reduced)} generators exceeds "
+                          f"MAX_APERY_WORK = {MAX_APERY_WORK}")
+    bound = min((a * b - a - b for i, a in enumerate(reduced)
+                 for b in reduced[i + 1:] if gcd(a, b) == 1), default=None)
     apery = [0] + [inf] * (lead - 1)
     heap = [(0, 0)]
     while heap:

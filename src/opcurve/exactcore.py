@@ -27,7 +27,7 @@ for the benchmark and the tests, and is never written from outside.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import factorial, gcd, inf
 
 
 # Default windows for interactive work.  Library operations derive their
@@ -110,6 +110,29 @@ def fraction_str(a: Fraction) -> str:
 
 def _prec_key(prec):
     return inf if prec is None else prec
+
+
+def _format_terms(items, var):
+    """Render nonzero (exponent, coefficient) pairs, exponents increasing,
+    as 'c + c*var + var^k - ...'; '0' when there are none."""
+    parts = []
+    for k, c in items:
+        if k == 0:
+            parts.append(fraction_str(c))
+        else:
+            vs = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                parts.append(vs)
+            elif c == -1:
+                parts.append(f"-{vs}")
+            else:
+                parts.append(f"{fraction_str(c)}*{vs}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 class XSeries:
@@ -257,11 +280,19 @@ class XSeries:
             raise DomainError("series powers require a nonnegative integer exponent")
         return power(self, e, XSeries.one())
 
-    def derivative(self) -> "XSeries":
-        if self.prec is not None and self.prec <= 1:
-            raise PrecisionError("cannot differentiate a series guaranteed only at x^0")
-        cs = [k * c for k, c in enumerate(self.coeffs)][1:]
-        return XSeries(cs, None if self.prec is None else self.prec - 1)
+    def derivative(self, j: int = 1) -> "XSeries":
+        """The j-th derivative in closed form:
+        [x^q] b^(j) = (q+1)(q+2)...(q+j) b_(q+j), guaranteed below
+        x^(prec - j)."""
+        if self.prec is not None and self.prec <= j:
+            raise PrecisionError(f"cannot differentiate {j} times a series "
+                                 f"guaranteed only below x^{self.prec}")
+        cs = []
+        rise = factorial(j)  # (q+1) ... (q+j) at q = 0
+        for q, c in enumerate(self.coeffs[j:]):
+            cs.append(rise * c)
+            rise = rise * (q + j + 1) // (q + 1)
+        return XSeries(cs, None if self.prec is None else self.prec - j)
 
     def integral(self) -> "XSeries":
         """Antiderivative with constant term zero (the normalization used
@@ -313,33 +344,12 @@ class XSeries:
 
     __hash__ = None
 
+    def __str__(self):
+        return _format_terms(self.items(), "x")
+
     def __repr__(self):
         tail = "" if self.prec is None else f" + O(x^{self.prec})"
-        return f"XSeries({self._fmt()}{tail})"
-
-    def _fmt(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(fraction_str(c))
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    parts.append(xs)
-                elif c == -1:
-                    parts.append(f"-{xs}")
-                else:
-                    parts.append(f"{fraction_str(c)}*{xs}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    __str__ = _fmt
+        return f"XSeries({self}{tail})"
 
 
 class ZLaurent:
@@ -560,32 +570,12 @@ class ZLaurent:
 
     __hash__ = None
 
+    def __str__(self):
+        return _format_terms(self.items(), "z")
+
     def __repr__(self):
         tail = "" if self.prec is None else f" + O(z^{self.prec + 1})"
-        return f"ZLaurent({self._fmt()}{tail})"
-
-    def _fmt(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in self.support():
-            c = self.coeffs[k]
-            if k == 0:
-                parts.append(fraction_str(c))
-            else:
-                zs = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    parts.append(zs)
-                elif c == -1:
-                    parts.append(f"-{zs}")
-                else:
-                    parts.append(f"{fraction_str(c)}*{zs}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    __str__ = _fmt
+        return f"ZLaurent({self}{tail})"
 
 
 class Matrix:

@@ -10,12 +10,13 @@ Composition is the generalized Leibniz rule
     D^m o a(x) = sum_{j>=0} binom(m, j) a^(j)(x) D^(m-j)
 
 with binom(m, j) = m(m-1)...(m-j+1)/j!, valid for negative m as well.
-One private kernel evaluates it: _Tower holds the memoized x-derivatives
-of one coefficient matrix, and _leibniz_coeff sums the rule into the
-coefficient of a single degree of a product.  compose(), invert_dressing()
-and dress_to_constant() are its only callers; the last two solve for one
-new coefficient per degree from the ones before it.  In compose() the sum
-is truncated by two effects:
+One private kernel evaluates it: _leibniz_coeff sums the rule into the
+coefficient of a single degree of a product, reading each derivative in
+closed form from XSeries.derivative, and _end says where the derivatives
+of a coefficient matrix stop, exactly or at its x-precision.  compose(),
+invert_dressing(), dress_to_constant() and rth_root() are its only
+callers; the last three solve for one new coefficient per degree from the
+ones before it.  In compose() the sum is truncated by two effects:
 
 * degrees below the derived window floor are dropped as untracked, and
 * a term whose x-precision is exhausted poisons every lower degree.
@@ -67,74 +68,38 @@ def _is_exact_zero(mat: Matrix) -> bool:
     return all(e.exact and e.is_zero() for row in mat.rows for e in row)
 
 
-class _Exhausted(Exception):
-    """A derivative tower ran out of x-precision."""
+def _end(mat: Matrix) -> int:
+    """The first derivative order of mat that is exactly zero or that lies
+    beyond its x-precision."""
+    p = min_prec(e for row in mat.rows for e in row)
+    if p is not None:
+        return p
+    return 1 + max(e.degree_bound() for row in mat.rows for e in row)
 
 
-class _Tower:
-    """The x-derivatives b, b', b'', ... of one coefficient matrix, built on
-    demand and kept for reuse.
-
-    at(j) gives the j-th derivative, or None once the tower has ended
-    exactly (that derivative and every later one are exactly zero); it
-    raises _Exhausted when x-precision runs out first.
-    """
-
-    __slots__ = ("mats", "end")
-
-    def __init__(self, mat: Matrix):
-        self.mats = [mat]
-        self.end = None  # "exact" or "exhausted" once no derivative follows
-
-    def _grow(self):
-        last = self.mats[-1]
-        p = min_prec(e for row in last.rows for e in row)
-        if p is not None and p <= 1:
-            self.end = "exhausted"
-            return
-        nxt = last.map(lambda e: e.derivative())
-        if _is_exact_zero(nxt):
-            self.end = "exact"
-        else:
-            self.mats.append(nxt)
-
-    def at(self, j: int):
-        while len(self.mats) <= j and self.end is None:
-            self._grow()
-        if j < len(self.mats):
-            return self.mats[j]
-        if self.end == "exhausted":
-            raise _Exhausted
-        return None
-
-    def size(self) -> int:
-        """Number of derivatives held once the tower is built to its end."""
-        while self.end is None:
-            self._grow()
-        return len(self.mats)
-
-
-def _leibniz_coeff(n: int, a_terms, towers, deg: int) -> Matrix:
+def _leibniz_coeff(n: int, a_terms, b_terms, deg: int) -> Matrix:
     """Coefficient of D^deg in A o B by the generalized Leibniz rule.
 
-    a_terms maps each degree m of A to its n x n coefficient a_m; towers
-    maps each degree k of B to the _Tower of b_k.  The result is the sum
-    of binom(m, j) a_m b_k^(j) over m + k - j = deg, exactly zero when no
-    term reaches deg.
-    Raises _Exhausted when a needed derivative lies beyond x-precision.
+    a_terms and b_terms map each degree of A and of B to its n x n
+    coefficient.  The result is the sum of binom(m, j) a_m b_k^(j) over
+    m + k - j = deg, formed as one product a_m (sum_k binom(m, j) b_k^(j))
+    per a_m; it is exactly zero when no term reaches deg.  Raises
+    PrecisionError, from XSeries.derivative, when a needed derivative lies
+    beyond x-precision.
     """
     acc = _zero_matrix(n)
     for m, a in a_terms.items():
-        for k, tower in towers.items():
+        inner = None
+        for k, b in b_terms.items():
             j = m + k - deg
             if j < 0 or 0 <= m < j:
                 continue
-            b = tower.at(j)
-            if b is None:
-                continue
-            c = binom(m, j)
-            term = (a * b).map(lambda e: e.scale(c))
-            acc = acc + term
+            if j:
+                c = binom(m, j)
+                b = b.map(lambda e: e.derivative(j).scale(c))
+            inner = b if inner is None else inner + b
+        if inner is not None:
+            acc = acc + a * inner
     return acc
 
 
@@ -414,7 +379,7 @@ def compose(p: MatrixPsiDO, q: MatrixPsiDO) -> MatrixPsiDO:
 
     This is the only place where the truncation policy is applied: the
     output floor max(lo(P)+order(Q), order(P)+lo(Q)) drops degrees the
-    untracked tails could pollute, and a derivative tower that runs out of
+    untracked tails could pollute, and a needed derivative beyond
     x-precision poisons every degree at and below its stopping point.
     """
     p._check(q)
@@ -432,11 +397,10 @@ def compose(p: MatrixPsiDO, q: MatrixPsiDO) -> MatrixPsiDO:
         cands.append(p_top + q.lo)
     floor = max(cands) if cands else None
 
-    towers = {k: _Tower(mat) for k, mat in q.terms.items()}
     if floor is None:
         # exact in degree: each pair's sum ends at j = m, or for m < 0 where
-        # the tower of its Q coefficient ends
-        bottom = min(k if m >= 0 else m + k - towers[k].size()
+        # the derivatives of its Q coefficient end
+        bottom = min(k if m >= 0 else m + k - _end(q.terms[k])
                      for m in p.terms for k in q.terms)
     else:
         bottom = floor
@@ -444,8 +408,8 @@ def compose(p: MatrixPsiDO, q: MatrixPsiDO) -> MatrixPsiDO:
     acc: dict[int, Matrix] = {}
     for deg in range(p_top + q_top, bottom - 1, -1):
         try:
-            acc[deg] = _leibniz_coeff(n, p.terms, towers, deg)
-        except _Exhausted:
+            acc[deg] = _leibniz_coeff(n, p.terms, q.terms, deg)
+        except PrecisionError:
             # x-precision exhausted: this and all lower degrees are unknown
             floor = deg + 1 if floor is None else max(floor, deg + 1)
             break
@@ -490,15 +454,14 @@ def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     ident = Matrix.identity(n, XSeries.one())
     svals = {m: mat for m, mat in s.terms.items() if m < 0}
 
-    towers = {0: _Tower(ident)}
+    terms = {0: ident}
     for d in range(1, -lo + 1):
         try:
-            acc = _leibniz_coeff(n, svals, towers, -d)
-        except _Exhausted:
+            acc = _leibniz_coeff(n, svals, terms, -d)
+        except PrecisionError:
             raise PrecisionError(
                 f"x-precision exhausted inverting at depth {d}") from None
-        towers[-d] = _Tower(-acc)
-    terms = {m: tower.mats[0] for m, tower in towers.items()}
+        terms[-d] = -acc
     # the true inverse has terms at every depth, so it is only exact when
     # S is exactly the identity
     if s.lo is None and all(_is_exact_zero(t) for m, t in terms.items()
@@ -540,46 +503,65 @@ def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     ident = Matrix.identity(n, XSeries.one())
     p_terms = {m: mat for m, mat in p.terms.items() if 0 <= m < r - 1}
     p_terms[r] = ident
-    towers = {0: _Tower(ident)}
+    s_terms = {0: ident}
     for d in range(1, depth + 1):
         # s_d' is fixed by the coefficient of D^(r-1-d), whose other terms
         # draw on s_0 .. s_(d-1) only
         try:
-            rhs = _leibniz_coeff(n, p_terms, towers, r - 1 - d)
-        except _Exhausted:
+            rhs = _leibniz_coeff(n, p_terms, s_terms, r - 1 - d)
+        except PrecisionError:
             raise PrecisionError("x-precision exhausted in dress_to_constant "
                                  f"at depth {d}") from None
-        towers[-d] = _Tower(rhs.map(lambda e: e.scale(-1).integral().scale(
-            Fraction(1, r))))
-    return MatrixPsiDO(n, {m: tower.mats[0] for m, tower in towers.items()},
-                       -depth)
+        s_terms[-d] = rhs.map(lambda e: e.scale(-1).integral().scale(
+            Fraction(1, r)))
+    return MatrixPsiDO(n, s_terms, -depth)
 
 
 def rth_root(p: MatrixPsiDO, r: int, depth=None) -> MatrixPsiDO:
     """Monic r-th root of a monic operator of order r.
 
-    R starts as D*I and gains one coefficient per step: the top surviving
-    degree of P - R^r is r-1-t at step t and is removed by a correction
-    c = coeff/r at degree -t, a linear solve with the invertible scalar r.
-    Every free additive constant that could enter is pinned to zero by the
+    R starts as D*I and gains one coefficient c_(-t) per step t.  The
+    coefficients of R^k for k < r are kept degree by degree: with c_(-t)
+    still zero, the kernel gives V_k, the coefficient of D^(k-1-t) in
+    R o R^(k-1), for k = 2 .. r, and c_(-t) enters R^k there only as
+    k c_(-t).  So c_(-t) = (p_(r-1-t) - V_r)/r, a linear solve with the
+    invertible scalar r, and k c_(-t) completes each V_k.  Every free
+    additive constant that could enter is pinned to zero by the
     construction, so the answer is the canonical normalized root.
     """
+    if r < 1:
+        raise DomainError(f"root order must be at least 1, got {r}")
     rr, monic = order_and_monicity(p)
     if rr != r or not monic:
         raise DomainError(f"need a monic operator of order exactly {r}")
     n = p.n
     if depth is None:
         depth = DEFAULT_DEPTH
-    root = MatrixPsiDO.d(1, n)
+    ident = Matrix.identity(n, XSeries.one())
+    # powers[k] maps degree -> coefficient of R^k found so far, k < r
+    root = {1: ident}
+    powers = [None, root] + [{k: ident} for k in range(2, r)]
     steps = 0
     while steps < depth:
-        diff = p - root ** r
-        if diff.exact and not diff.terms:
-            return root  # exact root found
         deg = r - 1 - steps
-        if diff.lo is not None and deg < diff.lo:
+        if p.lo is not None and deg < p.lo:
             break  # cannot certify further corrections at this window
-        c = diff.coeff(deg).map(lambda e: e.scale(Fraction(1, r)))
-        root = root + MatrixPsiDO(n, {-steps: c})
+        v = _zero_matrix(n)  # V_1: R itself has no degree -t yet
+        try:
+            for k in range(2, r + 1):
+                v = _leibniz_coeff(n, root, powers[k - 1], k - 1 - steps)
+                if k < r:
+                    powers[k][k - 1 - steps] = v
+        except PrecisionError:
+            break  # x-precision cannot certify the next correction
+        c = (p.coeff(deg) - v).map(lambda e: e.scale(Fraction(1, r)))
+        if p.exact and _is_exact_zero(c):
+            # R^r may already equal P exactly, which makes R the root
+            diff = p - MatrixPsiDO(n, root) ** r
+            if diff.exact and not diff.terms:
+                return MatrixPsiDO(n, root)
+        root[-steps] = c
+        for k in range(2, r):
+            powers[k][k - 1 - steps] += c.map(lambda e: e.scale(k))
         steps += 1
-    return MatrixPsiDO(n, root.terms, 1 - steps)
+    return MatrixPsiDO(n, root, 1 - steps)

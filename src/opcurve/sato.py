@@ -322,8 +322,9 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
 
     Solves exactly for a dressing of the given depth whose coefficients
     are polynomials of degree below nx.  Raises DomainError when no such
-    dressing exists or when the frame windows leave the shape
-    underdetermined.
+    dressing exists, when the frame windows leave the shape
+    underdetermined, or when a solution is found but the Fredholm report
+    certifies the frame off the big cell.
 
     Each column w gives one equation per z-exponent e >= 1 in its window.
     The unknown coefficient of x^l D^-m meets x^l z^m acting on w, whose
@@ -392,6 +393,15 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     if sol is None:
         raise DomainError("no dressing with this depth and x-degree "
                           "carries the frame onto the standard span")
+    # the equations see only classes below n * (depth + nx), so a frame
+    # off the big cell can still solve them; a certified report rules it out
+    try:
+        rep = point.fredholm_report()
+    except (DomainError, PrecisionError):
+        rep = None
+    if rep is not None and (rep.h0, rep.h1) != (0, 0):
+        raise DomainError("frame is not in the big cell, no dressing "
+                          "exists")
     terms = {-m: [[None] * n for _ in range(n)] for m in range(1, depth + 1)}
     for i in range(n):
         for m in range(1, depth + 1):

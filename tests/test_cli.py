@@ -111,6 +111,15 @@ def test_root_order_mismatch(capsys):
     assert "order exactly 2" in err
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_root_order_below_one_exits_3(capsys, r):
+    # the constant 1 is monic of order 0, so r = 0 passes the order check
+    code, out, err = run(capsys, "pdo", "root", "1", r)
+    assert code == 3
+    assert out == []
+    assert f"root order must be at least 1, got {r}" in err
+
+
 def test_invert_matrix(capsys):
     code, out, _ = run(capsys, "pdo", "invert", "[[1,1],[0,1]]")
     assert code == 0
@@ -233,6 +242,8 @@ def test_semigroup_large_output_is_bounded(capsys):
 
 @pytest.mark.parametrize("orders,text", [
     ("2000,2001", "conductor 3998000 exceeds MAX_CONDUCTOR = 1000000"),
+    ("666667,666668,666670", "smallest reduced generator 666667 times 3 "
+     "generators exceeds MAX_APERY_WORK = 2000000"),
     ("1000000000,1000000001",
      "smallest reduced generator 1000000000 exceeds MAX_CONDUCTOR"),
 ])

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+from opcurve import curvedata
 from opcurve.curvedata import (
+    MAX_APERY_WORK,
     MAX_CONDUCTOR,
     AlgebraSpec,
     _constant_rows,
@@ -117,6 +119,25 @@ def test_semigroup_caps():
     with pytest.raises(DomainError, match="smallest reduced generator "
                        "1000000000 exceeds MAX_CONDUCTOR"):
         semigroup_report([10**9, 10**9 + 1])
+
+
+def test_semigroup_work_cap_precedes_the_apery_pass(monkeypatch):
+    def no_pass(heap):
+        raise AssertionError("the Apery pass ran")
+
+    monkeypatch.setattr(curvedata, "heappop", no_pass)
+    # 666667 * 3 is just above 2 * 10^6; the generator alone is in range
+    a = MAX_APERY_WORK // 3 + 1
+    assert a <= MAX_CONDUCTOR and 3 * a == MAX_APERY_WORK + 1
+    with pytest.raises(DomainError, match=f"smallest reduced generator {a} "
+                       "times 3 generators exceeds MAX_APERY_WORK"):
+        semigroup_report([a, a + 1, a + 3])
+    # the cap applies after reduction by the gcd: 2a, 2a + 2, 2a + 6
+    with pytest.raises(DomainError, match="MAX_APERY_WORK = 2000000"):
+        semigroup_report([2 * a, 2 * a + 2, 2 * a + 6])
+    # one generator fewer is within the cap (and reaches the pass)
+    with pytest.raises(AssertionError, match="the Apery pass ran"):
+        semigroup_report([a, a + 1])
 
 
 # The doubling-table semigroup and the per-candidate rank filtration the

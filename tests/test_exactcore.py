@@ -115,6 +115,41 @@ def test_xseries_derivative_window_underflow():
     s = XSeries([3], 1)
     with pytest.raises(PrecisionError):
         s.derivative()
+    with pytest.raises(PrecisionError):
+        XSeries([1, 2, 3], 3).derivative(3)
+
+
+def test_xseries_higher_derivative_is_repeated_derivative():
+    rng = random.Random(4242)
+    for _ in range(40):
+        s = rand_xseries(rng, prec=7)
+        step = s
+        for j in range(8):
+            if s.prec is not None and s.prec <= j:
+                with pytest.raises(PrecisionError):
+                    s.derivative(j)
+                break
+            d = s.derivative(j)
+            # same coefficients and the same window prec(s) - j
+            assert d.prec == step.prec and d.items() == step.items()
+            if step.prec is not None and step.prec <= 1:
+                break
+            step = step.derivative()
+    assert XSeries([1, 1, 1, 1]).derivative(4).exact
+    assert XSeries([1, 1, 1, 1]).derivative(4).is_zero()
+    assert XSeries([7, 1], 5).derivative(0).items() == [(0, 7), (1, 1)]
+
+
+def test_series_text_forms():
+    s = XSeries([0, -1, Fraction(1, 2), 0, -3, 1], 6)
+    assert repr(s) == "XSeries(-x + 1/2*x^2 - 3*x^4 + x^5 + O(x^6))"
+    assert repr(XSeries([Fraction(-2, 3), 1])) == "XSeries(-2/3 + x)"
+    assert repr(XSeries([], 3)) == "XSeries(0 + O(x^3))"
+    assert str(XSeries([5])) == "5"
+    z = ZLaurent({-2: -1, -1: Fraction(3, 4), 0: -5, 1: 1, 3: -1}, 4)
+    assert repr(z) == "ZLaurent(-z^-2 + 3/4*z^-1 - 5 + z - z^3 + O(z^5))"
+    assert repr(ZLaurent({})) == "ZLaurent(0)"
+    assert str(ZLaurent({1: -1})) == "-z"
 
 
 def test_xseries_not_a_unit():

@@ -361,3 +361,95 @@ def test_root_requires_monic_of_matching_order():
         rth_root(MatrixPsiDO.d(2), 3)
     with pytest.raises(DomainError):
         rth_root(MatrixPsiDO.from_scalars({2: XSeries.constant(4)}), 2)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_root_order_below_one_is_a_domain_error(r):
+    # I is monic of order 0, so r = 0 passes the order check
+    for p in (MatrixPsiDO.identity(), MatrixPsiDO.d(2)):
+        with pytest.raises(DomainError, match=f"root order must be at "
+                           f"least 1, got {r}"):
+            rth_root(p, r)
+
+
+# The root loop that rth_root replaced, kept as an oracle: it recomputed
+# P - R^r in full at every step and read the next correction off it.
+
+def power_loop_root(p, r, depth):
+    rr, monic = order_and_monicity(p)
+    if rr != r or not monic:
+        raise DomainError(f"need a monic operator of order exactly {r}")
+    n = p.n
+    root = MatrixPsiDO.d(1, n)
+    steps = 0
+    while steps < depth:
+        diff = p - root ** r
+        if diff.exact and not diff.terms:
+            return root
+        deg = r - 1 - steps
+        if diff.lo is not None and deg < diff.lo:
+            break
+        c = diff.coeff(deg).map(lambda e: e.scale(Fraction(1, r)))
+        root = root + MatrixPsiDO(n, {-steps: c})
+        steps += 1
+    return MatrixPsiDO(n, root.terms, 1 - steps)
+
+
+def _root_outcome(fn):
+    try:
+        out = fn()
+    except (DomainError, PrecisionError) as err:
+        return type(err).__name__, str(err)
+    windows = {m: [[e.prec for e in row] for row in mat.rows]
+               for m, mat in out.terms.items()}
+    return repr(out), out.lo, windows
+
+
+def _rand_entry(rng, windowed):
+    cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+          for _ in range(rng.randint(0, 3))]
+    if windowed and rng.random() < 0.5:
+        return XSeries(cs, rng.randint(1, 8))
+    return XSeries(cs)
+
+
+def _rand_monic(rng, r, n):
+    windowed = rng.random() < 0.6
+    ident = Matrix.identity(n, XSeries.one())
+    terms = {r: ident}
+    for m in range(r):
+        if rng.random() < (0.3 if m == r - 1 else 0.7):
+            terms[m] = Matrix([[_rand_entry(rng, windowed) for _ in range(n)]
+                               for _ in range(n)])
+    if rng.random() < 0.2:
+        terms[-1] = Matrix([[_rand_entry(rng, windowed) for _ in range(n)]
+                            for _ in range(n)])
+    if rng.random() < 0.15:
+        # an exact r-th power, whose root the loop finds exactly
+        a = Matrix([[_rand_entry(rng, False) for _ in range(n)]
+                    for _ in range(n)])
+        return (MatrixPsiDO.d(1, n) + MatrixPsiDO(n, {0: a})) ** r
+    lo = rng.choice([None, None, r - 1 - rng.randint(0, 5)])
+    return MatrixPsiDO(n, terms, lo)
+
+
+def test_root_matches_power_loop_sampled():
+    rng = random.Random(7070)
+    kinds = set()
+    for _ in range(60):
+        r = rng.choice([2, 3, 4])
+        n = rng.choice([1, 1, 2])
+        p = _rand_monic(rng, r, n)
+        depth = rng.randint(0, 7)
+        got = _root_outcome(lambda: rth_root(p, r, depth=depth))
+        want = _root_outcome(lambda: power_loop_root(p, r, depth))
+        assert got == want
+        kinds.add((r, "exact" if got[1] is None else
+                   "full" if got[1] == 1 - depth else "cut"))
+        # and the same error text for an order that does not match
+        assert (_root_outcome(lambda: rth_root(p, r + 1, depth=depth))
+                == _root_outcome(lambda: power_loop_root(p, r + 1, depth)))
+    # exact roots, full-depth roots and roots cut short by a window, for
+    # each r; r = 4 is where R^r is squared in the loop but chained here
+    assert kinds == {(r, kind) for r in (2, 3, 4)
+                     for kind in ("exact", "full", "cut")}

@@ -274,6 +274,13 @@ def test_dressing_round_trip_sampled():
 def test_no_dressing_off_the_big_cell():
     with pytest.raises(DomainError):
         dressing_from_point(cusp_point(), depth=2, nx=2)
+    # h1 = 1, but at these shapes no equation sees class 1, so the solve
+    # alone finds the identity
+    assert cusp_point().fredholm_report().h1 == 1
+    for depth, nx in ((1, 1), (1, 2), (2, 1)):
+        with pytest.raises(DomainError, match="frame is not in the big "
+                           "cell, no dressing exists"):
+            dressing_from_point(cusp_point(), depth=depth, nx=nx)
 
 
 # -- the frame round trip against references built from public pieces ---
