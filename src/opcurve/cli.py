@@ -66,6 +66,12 @@ EXIT_PRECISION = 4
 # prints; --json always lists every gap.
 TABLE_CAP = 1000
 
+# Caps on the precision flags: a value beyond one is a usage error (exit 2)
+# before any work starts.  --z-lo and --z-hi are capped in magnitude.
+MAX_XPREC = 1000
+MAX_DEPTH = 100
+MAX_ZWINDOW = 1000
+
 
 # -- operand helpers -------------------------------------------------
 
@@ -549,16 +555,23 @@ def _add_store(sp):
                     help="store the result in the session file")
 
 
-def _nonnegative(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be nonnegative, got {value}")
-    return value
+def _int_in(lo, hi):
+    """argparse type for an integer flag in [lo, hi]."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be nonnegative, got {value}" if lo == 0
+                else f"must be at least {lo}, got {value}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {hi}, got {value}")
+        return value
+    return parse
 
 
 def _global_flags(p, leaf=False):
@@ -566,14 +579,16 @@ def _global_flags(p, leaf=False):
     # never clobbers a value parsed before the subcommand.
     d = argparse.SUPPRESS if leaf else None
     jd = argparse.SUPPRESS if leaf else False
-    p.add_argument("--x-prec", dest="xprec", type=_nonnegative, metavar="N",
-                   default=d, help="guaranteed x-series coefficients")
-    p.add_argument("--z-lo", dest="zlo", type=int, metavar="K",
+    zwin = _int_in(-MAX_ZWINDOW, MAX_ZWINDOW)
+    p.add_argument("--x-prec", dest="xprec", type=_int_in(0, MAX_XPREC),
+                   metavar="N", default=d,
+                   help="guaranteed x-series coefficients")
+    p.add_argument("--z-lo", dest="zlo", type=zwin, metavar="K",
                    default=d, help="z-window bottom")
-    p.add_argument("--z-hi", dest="zhi", type=int, metavar="K",
+    p.add_argument("--z-hi", dest="zhi", type=zwin, metavar="K",
                    default=d, help="z-window top")
-    p.add_argument("--depth", type=_nonnegative, metavar="D", default=d,
-                   help="negative operator degrees carried")
+    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), metavar="D",
+                   default=d, help="negative operator degrees carried")
     p.add_argument("--session", metavar="FILE", default=d,
                    help="session file with named bindings")
     p.add_argument("--json", action="store_true", default=jd,

@@ -52,9 +52,10 @@ __all__ = [
 
 # Cap on a semigroup's smallest reduced generator and on its conductor.
 MAX_CONDUCTOR = 10**6
-# Cap on a * g for the smallest reduced generator a and the number g of
-# reduced generators.  The Apery pass does work proportional to a * g, so
-# this bounds its time before it starts.
+# Cap on a * g and on g * g for the smallest reduced generator a and the
+# number g of reduced generators.  The Apery pass does work proportional
+# to a * g and the coprime-pair scan to g * g, so this bounds their time
+# before either starts.
 MAX_APERY_WORK = 2 * 10**6
 
 
@@ -166,9 +167,10 @@ def semigroup_report(orders) -> SemigroupReport:
     a, found by one shortest-path pass over the residues.  A member plus
     copies of a stays a member, so k is a gap iff k < Ap[k mod a], and
     the conductor is max(Ap) - a + 1.  Both a and the conductor are
-    capped at MAX_CONDUCTOR, and a times the generator count at
-    MAX_APERY_WORK.  The two-generator bound ab - a - b is reported
-    when some pair of reduced generators is coprime.
+    capped at MAX_CONDUCTOR, and a times the generator count and the
+    generator count squared at MAX_APERY_WORK.  The two-generator bound
+    ab - a - b is reported when some pair of reduced generators is
+    coprime.
     """
     generators = sorted({int(o) for o in orders if int(o) > 0})
     if not generators:
@@ -183,6 +185,9 @@ def semigroup_report(orders) -> SemigroupReport:
         raise DomainError(f"smallest reduced generator {lead} times "
                           f"{len(reduced)} generators exceeds "
                           f"MAX_APERY_WORK = {MAX_APERY_WORK}")
+    if len(reduced) ** 2 > MAX_APERY_WORK:
+        raise DomainError(f"{len(reduced)} reduced generators squared "
+                          f"exceeds MAX_APERY_WORK = {MAX_APERY_WORK}")
     bound = min((a * b - a - b for i, a in enumerate(reduced)
                  for b in reduced[i + 1:] if gcd(a, b) == 1), default=None)
     apery = [0] + [inf] * (lead - 1)
@@ -312,8 +317,9 @@ def condition_report(spec: AlgebraSpec) -> ConditionReport:
         for b in mats[i + 1:]:
             if not (a * b == b * a):
                 commutes = False
-    span = laurent_span_dim([_flatten(m) for m in _closure_monomials(
-        mats, spec.n)])
+    # the closure grows only by matrices that raise the span dimension,
+    # so its length is that dimension
+    span = len(_closure_monomials(mats, spec.n))
     return ConditionReport(spec.n, commutes, span, rank_of_algebra(spec))
 
 

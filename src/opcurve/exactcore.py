@@ -192,9 +192,6 @@ class XSeries:
                 f"coefficient of x^{k} unknown (guaranteed below x^{self.prec})")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
-    def constant_term(self) -> Fraction:
-        return self.coeff(0)
-
     def is_zero(self) -> bool:
         """True when every guaranteed coefficient vanishes."""
         return not self.coeffs
@@ -773,24 +770,6 @@ def nullspace(rows):
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if not rows:
-        return [] if all(as_fraction(b) == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    a, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][ncols]
-    return x
-
-
 # Rows of an overdetermined system are chosen modulo this prime.  It only
 # chooses: exact arithmetic decides every answer.
 SELECTION_PRIME = 2**61 - 1
@@ -819,28 +798,36 @@ def _independent_rows(rows, ncols):
     return picked
 
 
-def solve_full_rank(rows, rhs_rows):
-    """The unique solution X of A X = B once A is shown to have full
-    column rank, decided by exact arithmetic.
+def solve_system(rows, rhs_rows):
+    """Exact solution X of A X = B, and the rank of A.
 
-    rows (nonempty) holds A and rhs_rows holds B, row for row; X has one
-    row per column of A and one entry per right-hand side.  Each
-    augmented row is scaled to integers, and as many rows as A has
-    columns are picked that are independent modulo SELECTION_PRIME, hence
-    over the rationals.  rref solves that square system exactly, and
-    every row is then checked exactly against every right-hand side.
+    rows holds A and rhs_rows holds B, row for row; X has one row per
+    column of A and one entry per right-hand side.  Each augmented row is
+    scaled to integers.  When as many rows as A has columns are
+    independent modulo SELECTION_PRIME, hence over the rationals, rref
+    solves that square system and every row is then checked exactly
+    against every right-hand side.  Otherwise one rref of the whole
+    augmented system decides.
 
-    Returns (True, X), or (True, None) when a check fails, which proves
-    the system inconsistent.  Returns (False, None) when fewer rows are
-    independent modulo the prime: either the prime is unlucky or A is
-    rank-deficient, and only an elimination of the whole system decides.
+    Returns (X, rank).  X is None when the system is inconsistent;
+    otherwise free unknowns are set to zero, so the answer is
+    deterministic.
     """
+    if not rows:
+        return [], 0
     ncols = len(rows[0])
     aug = [_integer_row(list(row) + list(rhs))
            for row, rhs in zip(rows, rhs_rows)]
     picked = _independent_rows(aug, ncols)
     if len(picked) < ncols:
-        return False, None
+        red, pivots = rref(aug)
+        rk = sum(1 for p in pivots if p < ncols)
+        if rk < len(pivots):
+            return None, rk
+        sol = [[Fraction(0)] * (len(aug[0]) - ncols) for _ in range(ncols)]
+        for r, pc in enumerate(pivots):
+            sol[pc] = red[r][ncols:]
+        return sol, rk
     red, _ = rref([aug[i] for i in picked])
     sol = [red[j][ncols:] for j in range(ncols)]
     # each solution column as integer numerators over one denominator
@@ -851,5 +838,14 @@ def solve_full_rank(rows, rhs_rows):
         for row in aug:
             if (sum(a * x for a, x in zip(row, nums) if a)
                     != row[ncols + i] * den):
-                return True, None
-    return True, sol
+                return None, ncols
+    return sol, ncols
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent.
+
+    Free variables are set to zero, so the answer is deterministic.
+    """
+    sol, _ = solve_system(rows, [[b] for b in rhs])
+    return None if sol is None else [x[0] for x in sol]

@@ -16,7 +16,7 @@ from .exactcore import (
     ZLaurent,
     fraction_str,
     power,
-    solve,
+    solve_system,
 )
 from .psidocalc import MatrixPsiDO, invert_dressing, is_dressing
 from .session import DEFAULT_CONTEXT, value_tag
@@ -29,6 +29,10 @@ class ParseError(DomainError):
 # -- tokens ----------------------------------------------------------
 
 _PUNCT = "+-*/^()[],"
+
+# Cap on the magnitude of an exponent literal, checked while parsing, so
+# an oversized power is a syntax error (exit 2) before any work starts.
+MAX_EXPONENT = 1000
 
 
 def _where(text: str, pos: int) -> str:
@@ -147,6 +151,11 @@ class _Parser:
                 self._take()
                 sign = -1
             tok = self._expect("int")
+            if tok[1] > MAX_EXPONENT:
+                raise ParseError(
+                    f"syntax error at {_where(self.text, tok[2])}: "
+                    f"exponent {tok[1]} exceeds MAX_EXPONENT = "
+                    f"{MAX_EXPONENT}")
             node = ("pow", node, sign * tok[1])
         return node
 
@@ -322,16 +331,10 @@ def invert_value(v, ctx):
         raise DomainError("can only invert powers of Dx and dressing "
                           "operators")
     if tag == "qmatrix":
-        n = v.n
-        rows = [[v.entry(i, j) for j in range(n)] for i in range(n)]
-        cols = []
-        for j in range(n):
-            rhs = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-            sol = solve(rows, rhs)
-            if sol is None:
-                raise DomainError("matrix is singular")
-            cols.append(sol)
-        return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        inv, _ = solve_system(v.rows, Matrix.identity(v.n, Fraction(1)).rows)
+        if inv is None:
+            raise DomainError("matrix is singular")
+        return Matrix(inv)
     raise DomainError(f"cannot invert a value of sort {tag}")
 
 

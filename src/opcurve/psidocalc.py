@@ -208,15 +208,6 @@ class MatrixPsiDO:
             raise PrecisionError("order undetermined at this precision")
         return max(live)
 
-    def leading(self) -> Matrix:
-        return self.terms[self.order()]
-
-    def is_monic(self) -> bool:
-        try:
-            return self.leading() == Matrix.identity(self.n, XSeries.one())
-        except (DomainError, PrecisionError):
-            return False
-
     def is_differential_shape(self) -> bool:
         """No negative-degree term is nonzero within precision."""
         return all(mat.is_zero() for m, mat in self.terms.items() if m < 0)

@@ -17,6 +17,7 @@ when every contribution to it is guaranteed.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf
 
 from .exactcore import (
@@ -28,9 +29,9 @@ from .exactcore import (
     ZLaurent,
     min_prec,
     rank,
-    rref,
+    rref,  # unused here, but bench/test_bench.py reads sato.rref
     solve,
-    solve_full_rank,
+    solve_system,
 )
 from .psidocalc import MatrixPsiDO, is_dressing, invert_dressing
 
@@ -256,24 +257,26 @@ class GrassPoint:
                 f"stable_from={self.stable_from})")
 
 
+def _carries(act, src, reach, dst):
+    """Whether act maps src's exceptional columns and its standard
+    columns of the next reach classes into dst's span.
+
+    Exceptional columns are tried first, then standard columns by class,
+    and the first column that misses decides, so errors surface in that
+    order.
+    """
+    cols = chain(src.columns, (basis_column(q, src.n) for q in
+                               range(src.stable_from, src.stable_from + reach)))
+    return all(dst.contains(act(col)) for col in cols)
+
+
 def points_equal(a: GrassPoint, b: GrassPoint) -> bool:
     """Span equality of two frames on their certified windows."""
     if a.n != b.n:
         return False
     hi = max(a.stable_from, b.stable_from)
-    for col in a.columns:
-        if not b.contains(col):
-            return False
-    for s in range(a.stable_from, hi):
-        if not b.contains(basis_column(s, a.n)):
-            return False
-    for col in b.columns:
-        if not a.contains(col):
-            return False
-    for s in range(b.stable_from, hi):
-        if not a.contains(basis_column(s, b.n)):
-            return False
-    return True
+    return (_carries(lambda col: col, a, hi - a.stable_from, b)
+            and _carries(lambda col: col, b, hi - b.stable_from, a))
 
 
 def _x_degree_bound(op: MatrixPsiDO) -> int:
@@ -330,10 +333,8 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     The unknown coefficient of x^l D^-m meets x^l z^m acting on w, whose
     coefficient at z^e is w_(e-m-l) q (q+1) ... (q+l-1) with q = e - l;
     that window lies above w's own, so w's window bounds the rows.  The
-    overdetermined system goes to exactcore.solve_full_rank: rows picked
-    modulo a prime, an exact square solve, an exact check of every row.
-    When it cannot pick enough rows, one rref of the whole system decides,
-    and only that path can find the shape underdetermined.
+    overdetermined system goes to exactcore.solve_system, and the rank it
+    reports tells a unique solution from an underdetermined shape.
     """
     n = point.n
     if depth < 1 or nx < 1:
@@ -377,22 +378,13 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     if not rows:
         raise DomainError("frame windows leave the dressing "
                           "underdetermined at this depth and x-degree")
-    full_rank, sol = solve_full_rank(rows, rhs_rows)
-    if not full_rank:
-        # one augmented elimination answers consistency, uniqueness and
-        # all component solutions at once
-        aug = [row + rv for row, rv in zip(rows, rhs_rows)]
-        red, pivots = rref(aug)
-        if any(p >= nun for p in pivots):
-            sol = None
-        elif len(pivots) < nun:
-            raise DomainError("frame windows leave the dressing "
-                              "underdetermined at this depth and x-degree")
-        else:
-            sol = [red[j][nun:] for j in range(nun)]
+    sol, rk = solve_system(rows, rhs_rows)
     if sol is None:
         raise DomainError("no dressing with this depth and x-degree "
                           "carries the frame onto the standard span")
+    if rk < nun:
+        raise DomainError("frame windows leave the dressing "
+                          "underdetermined at this depth and x-degree")
     # the equations see only classes below n * (depth + nx), so a frame
     # off the big cell can still solve them; a certified report rules it out
     try:
@@ -419,16 +411,9 @@ def stabilizes(point: GrassPoint, g: Matrix) -> bool:
     itself, certified on the determined windows."""
     if g.n != point.n:
         raise DimensionError("operator size does not match the module rank")
-    n = point.n
-    for col in point.columns:
-        if not point.contains(laurent_action(g, col)):
-            return False
     drop = max([0] + [k for row in g.rows for e in row for k in e.support()])
-    for q in range(point.stable_from, point.stable_from + n * (drop + 1)):
-        img = laurent_action(g, basis_column(q, n))
-        if not point.contains(img):
-            return False
-    return True
+    return _carries(lambda col: laurent_action(g, col), point,
+                    point.n * (drop + 1), point)
 
 
 def is_differential_by_action(op: MatrixPsiDO, point: GrassPoint) -> bool:
@@ -436,18 +421,11 @@ def is_differential_by_action(op: MatrixPsiDO, point: GrassPoint) -> bool:
     module action, certified on the determined windows."""
     if op.n != point.n:
         raise DimensionError("operator size does not match the module rank")
-    n = point.n
-    for col in point.columns:
-        if not point.contains(module_action(op, col)):
-            return False
     drop = 0
     nx = _x_degree_bound(op)
     for m in op.terms:
         drop = max(drop, nx - m)
     if op.lo is not None:
         drop = max(drop, nx - op.lo)
-    for q in range(point.stable_from, point.stable_from + n * drop):
-        img = module_action(op, basis_column(q, n))
-        if not point.contains(img):
-            return False
-    return True
+    return _carries(lambda col: module_action(op, col), point,
+                    point.n * drop, point)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from opcurve import cli
 from opcurve.cli import main
 from opcurve.session import Session
 
@@ -246,6 +247,9 @@ def test_semigroup_large_output_is_bounded(capsys):
      "generators exceeds MAX_APERY_WORK = 2000000"),
     ("1000000000,1000000001",
      "smallest reduced generator 1000000000 exceeds MAX_CONDUCTOR"),
+    pytest.param(",".join(map(str, range(2, 1417))),
+                 "1415 reduced generators squared exceeds MAX_APERY_WORK",
+                 id="2..1416"),
 ])
 def test_semigroup_over_cap_is_a_domain_error(capsys, orders, text):
     code, out, err = run(capsys, "curve", "semigroup", "--orders", orders)
@@ -446,6 +450,35 @@ def test_negative_depth_is_usage_error(capsys):
     code, err = _usage_error(capsys, "pdo", "rho", "Dx^2", "--depth", "-2")
     assert code == 2
     assert "--depth: must be nonnegative" in err
+
+
+@pytest.mark.parametrize("flag,cap,over,text", [
+    ("--x-prec", "1000", "1001", "must be at most 1000, got 1001"),
+    ("--depth", "100", "101", "must be at most 100, got 101"),
+    ("--z-lo", "-1000", "-1001", "must be at least -1000, got -1001"),
+    ("--z-hi", "1000", "1001", "must be at most 1000, got 1001"),
+])
+def test_flag_above_cap_is_usage_error(capsys, monkeypatch, flag, cap, over,
+                                       text):
+    def no_verb(env, args):
+        raise AssertionError("the verb ran")
+
+    monkeypatch.setattr(cli, "_cmd_pdo_invert", no_verb)
+    for argv in ((flag, over, "pdo", "invert", "x"),
+                 ("pdo", "invert", "x", flag, over)):
+        code, err = _usage_error(capsys, *argv)
+        assert code == 2
+        assert f"{flag}: {text}" in err
+    # the cap itself is admitted and reaches the verb
+    with pytest.raises(AssertionError, match="the verb ran"):
+        main([flag, cap, "pdo", "invert", "x"])
+
+
+def test_exponent_above_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "pdo", "compose", "x^1001", "Dx")
+    assert code == 2
+    assert out == []
+    assert "exponent 1001 exceeds MAX_EXPONENT = 1000" in err
 
 
 def test_json_error_goes_to_stdout(capsys):

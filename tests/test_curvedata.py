@@ -140,6 +140,24 @@ def test_semigroup_work_cap_precedes_the_apery_pass(monkeypatch):
         semigroup_report([a, a + 1])
 
 
+def test_semigroup_pair_cap_precedes_the_coprime_pair_scan(monkeypatch):
+    def no_scan(*args):
+        if len(args) == 2:
+            raise AssertionError("the pair scan ran")
+        return gcd(*args)
+
+    monkeypatch.setattr(curvedata, "gcd", no_scan)
+    # 1415^2 is just above 2 * 10^6, while 2 * 1415 is far below it
+    g = 1415
+    assert g * g > MAX_APERY_WORK >= (g - 1) ** 2
+    with pytest.raises(DomainError, match=f"{g} reduced generators squared "
+                       "exceeds MAX_APERY_WORK = 2000000"):
+        semigroup_report(range(2, g + 2))
+    # one generator fewer is within the cap (and reaches the scan)
+    with pytest.raises(AssertionError, match="the pair scan ran"):
+        semigroup_report(range(2, g + 1))
+
+
 # The doubling-table semigroup and the per-candidate rank filtration the
 # Apery set and the single elimination replaced, kept as oracles.
 

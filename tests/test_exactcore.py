@@ -17,7 +17,7 @@ from opcurve.exactcore import (
     SELECTION_PRIME,
     rref,
     solve,
-    solve_full_rank,
+    solve_system,
 )
 
 
@@ -385,43 +385,44 @@ def _system(rng, nrows, ncols, nrhs):
     return a, b, x
 
 
-def test_solve_full_rank_solves_only_a_square_system(monkeypatch):
+def test_solve_system_solves_only_a_square_system(monkeypatch):
     sizes = _counting_rref(monkeypatch)
     a, b, x = _system(random.Random(77), 12, 4, 2)
-    assert solve_full_rank(a, b) == (True, x)
+    assert solve_system(a, b) == (x, 4)
     assert sizes == [4]
 
 
-def test_solve_full_rank_inconsistent_by_residual(monkeypatch):
+def test_solve_system_inconsistent_by_residual(monkeypatch):
     sizes = _counting_rref(monkeypatch)
     a, b, _ = _system(random.Random(78), 12, 4, 2)
     b[9][1] += 1
-    assert solve_full_rank(a, b) == (True, None)
+    assert solve_system(a, b) == (None, 4)
     assert sizes == [4]
     # a row with a zero left-hand side is never picked, only checked
     a, b, _ = _system(random.Random(79), 6, 3, 1)
-    assert solve_full_rank(a + [[0, 0, 0]], b + [[Fraction(1, 3)]]) == (
-        True, None)
+    assert solve_system(a + [[0, 0, 0]], b + [[Fraction(1, 3)]]) == (None, 3)
 
 
-def test_solve_full_rank_leaves_rank_deficient_systems_to_rref(monkeypatch):
+def test_solve_system_eliminates_rank_deficient_systems_whole(monkeypatch):
     sizes = _counting_rref(monkeypatch)
     a = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]]
-    for b in ([[6], [12], [2], [4]], [[6], [11], [2], [4]]):
-        assert solve_full_rank(a, b) == (False, None)
-    assert sizes == []
+    # consistent: the free unknown is zero
+    assert solve_system(a, [[6], [12], [2], [4]]) == ([[2], [2], [0]], 2)
+    assert solve_system(a, [[6], [11], [2], [4]]) == (None, 2)
+    assert sizes == [4, 4]
 
 
-def test_solve_full_rank_unlucky_prime_is_undecided_not_wrong():
-    # independent over the rationals, dependent modulo the prime
+def test_solve_system_decides_an_unlucky_prime():
+    # independent over the rationals, dependent modulo the prime: the
+    # whole-system elimination finds the unique solution
     a = [[1, 0], [0, SELECTION_PRIME], [1, SELECTION_PRIME]]
     b = [[Fraction(1, 2)], [SELECTION_PRIME],
          [Fraction(1, 2) + SELECTION_PRIME]]
-    assert solve_full_rank(a, b) == (False, None)
+    assert solve_system(a, b) == ([[Fraction(1, 2)], [1]], 2)
     assert rank(a) == 2
 
 
-def test_solve_full_rank_agrees_with_rref_sampled():
+def test_solve_system_agrees_with_rref_sampled():
     rng = random.Random(80)
     decided = 0
     for _ in range(60):
@@ -430,13 +431,14 @@ def test_solve_full_rank_agrees_with_rref_sampled():
              for _ in range(nrows)]
         b = [[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(nrows)]
         red, pivots = rref([row + rhs for row, rhs in zip(a, b)])
-        full_rank, x = solve_full_rank(a, b)
-        assert full_rank == (rank(a) == ncols)
-        if not full_rank:
-            assert x is None
-        elif any(p >= ncols for p in pivots):
+        x, rk = solve_system(a, b)
+        assert rk == rank(a)
+        if any(p >= ncols for p in pivots):
             assert x is None
         else:
-            assert x == [red[j][ncols:] for j in range(ncols)]
-            decided += 1
+            want = [[0, 0] for _ in range(ncols)]
+            for r, pc in enumerate(pivots):
+                want[pc] = red[r][ncols:]
+            assert x == want
+            decided += rk == ncols
     assert decided > 5

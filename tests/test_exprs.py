@@ -38,6 +38,16 @@ def test_parse_errors_carry_position():
         parse("[[1,2],[3]]")
 
 
+def test_exponent_above_cap_is_a_parse_error():
+    # parsing alone rejects it, so no power is ever computed
+    assert parse("x^1000") == ("pow", ("name", "x"), 1000)
+    assert parse("Dx^-1000") == ("pow", ("name", "Dx"), -1000)
+    for text, col in (("x^1001", 3), ("(1+x)^2^-1001", 10)):
+        with pytest.raises(ParseError, match=f"column {col}: exponent 1001 "
+                           "exceeds MAX_EXPONENT = 1000"):
+            parse(text)
+
+
 def test_unknown_name_is_domain_error():
     with pytest.raises(DomainError):
         evaluate("mystery + 1")
