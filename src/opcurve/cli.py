@@ -48,6 +48,7 @@ from .pipelines import (
     verify_commutative,
 )
 from .session import (
+    CONTEXT_BOUNDS,
     DEFAULT_CONTEXT,
     Session,
     canonical_json,
@@ -65,12 +66,6 @@ EXIT_PRECISION = 4
 # Largest conductor whose member/gap table the human semigroup output
 # prints; --json always lists every gap.
 TABLE_CAP = 1000
-
-# Caps on the precision flags: a value beyond one is a usage error (exit 2)
-# before any work starts.  --z-lo and --z-hi are capped in magnitude.
-MAX_XPREC = 1000
-MAX_DEPTH = 100
-MAX_ZWINDOW = 1000
 
 
 # -- operand helpers -------------------------------------------------
@@ -579,16 +574,18 @@ def _global_flags(p, leaf=False):
     # never clobbers a value parsed before the subcommand.
     d = argparse.SUPPRESS if leaf else None
     jd = argparse.SUPPRESS if leaf else False
-    zwin = _int_in(-MAX_ZWINDOW, MAX_ZWINDOW)
-    p.add_argument("--x-prec", dest="xprec", type=_int_in(0, MAX_XPREC),
-                   metavar="N", default=d,
-                   help="guaranteed x-series coefficients")
-    p.add_argument("--z-lo", dest="zlo", type=zwin, metavar="K",
-                   default=d, help="z-window bottom")
-    p.add_argument("--z-hi", dest="zhi", type=zwin, metavar="K",
-                   default=d, help="z-window top")
-    p.add_argument("--depth", type=_int_in(0, MAX_DEPTH), metavar="D",
-                   default=d, help="negative operator degrees carried")
+    # a precision flag outside session.CONTEXT_BOUNDS is a usage error
+    # (exit 2) before any work starts
+    p.add_argument("--x-prec", dest="xprec",
+                   type=_int_in(*CONTEXT_BOUNDS["xprec"]), metavar="N",
+                   default=d, help="guaranteed x-series coefficients")
+    p.add_argument("--z-lo", dest="zlo", type=_int_in(*CONTEXT_BOUNDS["zlo"]),
+                   metavar="K", default=d, help="z-window bottom")
+    p.add_argument("--z-hi", dest="zhi", type=_int_in(*CONTEXT_BOUNDS["zhi"]),
+                   metavar="K", default=d, help="z-window top")
+    p.add_argument("--depth", type=_int_in(*CONTEXT_BOUNDS["depth"]),
+                   metavar="D", default=d,
+                   help="negative operator degrees carried")
     p.add_argument("--session", metavar="FILE", default=d,
                    help="session file with named bindings")
     p.add_argument("--json", action="store_true", default=jd,
@@ -763,7 +760,7 @@ def main(argv=None) -> int:
     try:
         ses, path = _load_session(args)
         ctx = dict(ses.context) if ses is not None else dict(DEFAULT_CONTEXT)
-        for key in ("xprec", "zlo", "zhi", "depth"):
+        for key in CONTEXT_BOUNDS:
             val = getattr(args, key, None)
             if val is not None:
                 ctx[key] = val

@@ -7,7 +7,9 @@ used throughout:
 
 * XSeries: a power series in x whose coefficients are guaranteed for
   exponents 0 <= k < prec.  prec is None when the series is known exactly
-  (a polynomial with all higher coefficients exactly zero).
+  (a polynomial with all higher coefficients exactly zero).  It stores
+  integer numerators over one positive denominator, in lowest terms, so
+  its arithmetic runs on integers.
 
 * ZLaurent: a Laurent series in z whose coefficients are guaranteed for
   exponents k <= prec, with only finitely many negative exponents.  prec
@@ -20,14 +22,15 @@ outside the guaranteed window raises PrecisionError instead of guessing.
 This module alone decides how coefficients are stored.  Every other
 module reads a series through its methods: coeff, items, support,
 is_zero, valuation/order, low_bound and degree_bound.  The coeffs
-attribute stays readable (a tuple on XSeries, a dict on ZLaurent) only
-for the benchmark and the tests, and is never written from outside.
+attribute stays readable (a tuple of Fractions built on read on XSeries,
+a dict on ZLaurent) only for the benchmark and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, inf
+from itertools import zip_longest
+from math import factorial, gcd, inf, lcm
 
 
 # Default windows for interactive work.  Library operations derive their
@@ -138,24 +141,46 @@ def _format_terms(items, var):
 class XSeries:
     """Truncated power series in x over the rationals.
 
-    coeffs stores c0, c1, ... with trailing zeros stripped; prec is the
-    number of guaranteed coefficients, or None when the series is exactly
-    the stored polynomial.  Coefficients at indices >= prec are unknown,
-    never silently zero.
+    Coefficients c0, c1, ... are integer numerators _num (trailing zeros
+    stripped) over one positive denominator _den, in lowest terms (_den =
+    1 for a zero series).  prec is the number of guaranteed coefficients,
+    or None when the series is exactly the stored polynomial; coefficients
+    at indices >= prec are unknown, never silently zero.  coeff, items and
+    coeffs give Fractions, kept in _fracs once built.
     """
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("_num", "_den", "prec", "_fracs")
 
     def __init__(self, coeffs, prec=None):
         cs = [as_fraction(c) for c in coeffs]
+        den = _common_den(cs)
+        self._set([c.numerator * (den // c.denominator) for c in cs],
+                  den, prec)
+        self._fracs = tuple(cs[:len(self._num)])
+
+    def _set(self, num, den, prec):
+        """Store num/den (den > 0) in lowest terms, truncated below x^prec."""
         if prec is not None:
             if prec <= 0:
                 raise PrecisionError("x-precision exhausted (need prec >= 1)")
-            cs = cs[:prec]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+            num = num[:prec]
+        num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        self._num = tuple(num)
+        self._den = den
         self.prec = prec
+        self._fracs = None
+
+    @classmethod
+    def _make(cls, num, den, prec=None) -> "XSeries":
+        s = cls.__new__(cls)
+        s._set(num, den, prec)
+        return s
 
     # -- constructors ------------------------------------------------
 
@@ -181,6 +206,14 @@ class XSeries:
     def exact(self) -> bool:
         return self.prec is None
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored c0, c1, ... as Fractions, built once and kept."""
+        if self._fracs is None:
+            d = self._den
+            self._fracs = tuple(Fraction(x, d) for x in self._num)
+        return self._fracs
+
     def known(self, k: int) -> bool:
         return self.prec is None or k < self.prec
 
@@ -190,15 +223,15 @@ class XSeries:
         if not self.known(k):
             raise PrecisionError(
                 f"coefficient of x^{k} unknown (guaranteed below x^{self.prec})")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if k < len(self._num) else Fraction(0)
 
     def is_zero(self) -> bool:
         """True when every guaranteed coefficient vanishes."""
-        return not self.coeffs
+        return not self._num
 
     def degree_bound(self) -> int:
         """Index of the highest stored nonzero coefficient, -1 if none."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def items(self):
         """The nonzero (exponent, coefficient) pairs, exponents increasing."""
@@ -218,17 +251,17 @@ class XSeries:
         if o is None:
             return NotImplemented
         prec = min(_prec_key(self.prec), _prec_key(o.prec))
-        n = max(len(self.coeffs), len(o.coeffs))
-        cs = [self._at(k) + o._at(k) for k in range(n)]
-        return XSeries(cs, None if prec == inf else prec)
-
-    def _at(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        da, db = self._den, o._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g  # da * fa == db * fb == lcm
+        num = [a * fa + b * fb
+               for a, b in zip_longest(self._num, o._num, fillvalue=0)]
+        return XSeries._make(num, da * fa, None if prec == inf else prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XSeries([-c for c in self.coeffs], self.prec)
+        return XSeries._make([-x for x in self._num], self._den, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -250,25 +283,18 @@ class XSeries:
             exact_zero = (self.exact and self.is_zero()
                           or o.exact and o.is_zero())
             return XSeries([], None if exact_zero or prec == inf else prec)
-        n = len(self.coeffs) + len(o.coeffs) - 1
+        ia, ib = self._num, o._num
+        n = len(ia) + len(ib) - 1
         if prec != inf:
             n = min(n, prec)
-        # convolve over integers with the denominators factored out, so
-        # accumulation does no fraction normalization
-        da = _common_den(self.coeffs)
-        db = _common_den(o.coeffs)
-        ia = [int(c * da) for c in self.coeffs]
-        ib = [int(c * db) for c in o.coeffs]
         cs = [0] * n
-        for i, a in enumerate(ia):
+        for i, a in enumerate(ia[:n]):
             if a:
-                top = min(len(ib), n - i)
-                for j in range(top):
-                    if ib[j]:
-                        cs[i + j] += a * ib[j]
-        den = da * db
-        return XSeries([Fraction(x, den) for x in cs],
-                       None if prec == inf else prec)
+                for j, b in enumerate(ib[:n - i], i):
+                    if b:
+                        cs[j] += a * b
+        return XSeries._make(cs, self._den * o._den,
+                             None if prec == inf else prec)
 
     __rmul__ = __mul__
 
@@ -284,18 +310,21 @@ class XSeries:
         if self.prec is not None and self.prec <= j:
             raise PrecisionError(f"cannot differentiate {j} times a series "
                                  f"guaranteed only below x^{self.prec}")
-        cs = []
+        num = []
         rise = factorial(j)  # (q+1) ... (q+j) at q = 0
-        for q, c in enumerate(self.coeffs[j:]):
-            cs.append(rise * c)
+        for q, x in enumerate(self._num[j:]):
+            num.append(rise * x)
             rise = rise * (q + j + 1) // (q + 1)
-        return XSeries(cs, None if self.prec is None else self.prec - j)
+        return XSeries._make(num, self._den,
+                             None if self.prec is None else self.prec - j)
 
     def integral(self) -> "XSeries":
         """Antiderivative with constant term zero (the normalization used
         for every dressing recursion in this package)."""
-        cs = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
-        return XSeries(cs, None if self.prec is None else self.prec + 1)
+        den = lcm(*range(1, len(self._num) + 1))
+        num = [0] + [x * (den // (k + 1)) for k, x in enumerate(self._num)]
+        return XSeries._make(num, self._den * den,
+                             None if self.prec is None else self.prec + 1)
 
     def inverse(self, prec=None) -> "XSeries":
         """Multiplicative inverse of a unit (nonzero constant term).
@@ -303,30 +332,37 @@ class XSeries:
         An exact non-constant series has an infinite inverse, so a target
         precision is required there; it defaults to DEFAULT_XPREC.
         """
-        c0 = self.coeff(0)
-        if c0 == 0:
+        a, den = self._num, self._den
+        if not a or not a[0]:
             raise DomainError("not a unit: constant term is zero")
-        if self.exact and len(self.coeffs) == 1:
-            return XSeries([1 / c0])
+        if a[0] < 0:  # a = (-A)/(-den) keeps u = A_0 and u^n positive
+            a, den = [-x for x in a], -den
+        u = a[0]
+        if self.exact and len(a) == 1:
+            return XSeries._make([den], u)
         if prec is None:
             prec = self.prec if self.prec is not None else DEFAULT_XPREC
         prec = min(prec, _prec_key(self.prec))
-        inv = [1 / c0]
+        # with a = A/den, the k-th coefficient of 1/A is e_k / u^(k+1),
+        # where e_0 = 1 and e_k = -sum_(i=1..k) A_i u^(i-1) e_(k-i)
+        e = [1]
         for k in range(1, prec):
-            s = Fraction(0)
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                s += self._at(i) * inv[k - i]
-            inv.append(-s / c0)
-        return XSeries(inv, prec)
+            e.append(-sum(a[i] * u ** (i - 1) * e[k - i]
+                          for i in range(1, min(k, len(a) - 1) + 1)))
+        n = len(e)
+        num = [den * x * u ** (n - 1 - k) for k, x in enumerate(e)]
+        return XSeries._make(num, u ** n, prec)
 
     def truncate(self, prec: int) -> "XSeries":
         if prec is None:
             return self
-        return XSeries(self.coeffs, min(prec, _prec_key(self.prec)))
+        return XSeries._make(self._num, self._den,
+                             min(prec, _prec_key(self.prec)))
 
     def scale(self, a) -> "XSeries":
         a = as_fraction(a)
-        return XSeries([a * c for c in self.coeffs], self.prec)
+        return XSeries._make([a.numerator * x for x in self._num],
+                             a.denominator * self._den, self.prec)
 
     # -- comparison --------------------------------------------------
 
@@ -336,8 +372,10 @@ class XSeries:
             return NotImplemented
         w = min(_prec_key(self.prec), _prec_key(o.prec))
         if w == inf:
-            return self.coeffs == o.coeffs
-        return all(self._at(k) == o._at(k) for k in range(int(w)))
+            return self._num == o._num and self._den == o._den
+        w, da, db = int(w), self._den, o._den
+        return all(a * db == b * da for a, b in
+                   zip_longest(self._num[:w], o._num[:w], fillvalue=0))
 
     __hash__ = None
 

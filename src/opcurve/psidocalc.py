@@ -454,9 +454,9 @@ def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
                 f"x-precision exhausted inverting at depth {d}") from None
         terms[-d] = -acc
     # the true inverse has terms at every depth, so it is only exact when
-    # S is exactly the identity
-    if s.lo is None and all(_is_exact_zero(t) for m, t in terms.items()
-                            if m != 0):
+    # S is exactly the identity; computed t_d that all vanish do not show
+    # that (depth 0 computes none, and 1 + D^-2 has t_1 = 0)
+    if s.lo is None and not svals:
         return MatrixPsiDO(n, terms)
     return MatrixPsiDO(n, terms, lo)
 

@@ -31,7 +31,15 @@ FORMAT_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-CONTEXT_KEYS = ("depth", "xprec", "zhi", "zlo")
+# Inclusive bounds on each context value.  The --depth, --x-prec, --z-hi
+# and --z-lo flags take the same ones, so a session file asks for no more
+# work than a flag can.
+CONTEXT_BOUNDS = {
+    "depth": (0, 100),
+    "xprec": (0, 1000),
+    "zhi": (-1000, 1000),
+    "zlo": (-1000, 1000),
+}
 
 DEFAULT_CONTEXT = {
     "depth": DEFAULT_DEPTH,
@@ -284,7 +292,11 @@ class Session:
             for key, val in context.items():
                 if key not in DEFAULT_CONTEXT:
                     raise DomainError(f"unknown context key {key!r}")
-                self.context[key] = int(val)
+                lo, hi = CONTEXT_BOUNDS[key]
+                if type(val) is not int or not lo <= val <= hi:
+                    raise DomainError(f"context {key} must be an integer in "
+                                      f"[{lo}, {hi}], got {val!r}")
+                self.context[key] = val
         self.bindings = {}
 
     def set(self, name: str, value):

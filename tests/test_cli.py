@@ -133,6 +133,18 @@ def test_invert_respects_xprec(capsys):
     assert out == ["1 + x + x^2 + x^3", "window: x-precision 4"]
 
 
+@pytest.mark.parametrize("depth,text,window", [
+    ("0", "1 + x*Dx^-1", "window: degrees >= 0"),
+    ("1", "1 + Dx^-2", "window: degrees >= -1"),
+    ("2", "1 + Dx^-3", "window: degrees >= -2"),
+])
+def test_invert_above_first_dressing_term_prints_window(capsys, depth, text,
+                                                        window):
+    code, out, _ = run(capsys, "--depth", depth, "pdo", "invert", text)
+    assert code == 0
+    assert out == ["(1)", window]
+
+
 def test_invert_zero_is_domain_error(capsys):
     code, _, err = run(capsys, "pdo", "invert", "0")
     assert code == 3
@@ -472,6 +484,34 @@ def test_flag_above_cap_is_usage_error(capsys, monkeypatch, flag, cap, over,
     # the cap itself is admitted and reaches the verb
     with pytest.raises(AssertionError, match="the verb ran"):
         main([flag, cap, "pdo", "invert", "x"])
+
+
+@pytest.mark.parametrize("key,value,bounds", [
+    ("xprec", 1001, "[0, 1000]"),
+    ("depth", 101, "[0, 100]"),
+    ("depth", -5, "[0, 100]"),
+    ("zlo", -1001, "[-1000, 1000]"),
+    ("zhi", 1001, "[-1000, 1000]"),
+])
+def test_session_context_outside_cap_is_domain_error(capsys, monkeypatch,
+                                                     tmp_path, key, value,
+                                                     bounds):
+    def no_verb(env, args):
+        raise AssertionError("the verb ran")
+
+    path = tmp_path / "work.json"
+    ses = Session()
+    ses.save(path)
+    data = json.loads(path.read_text())
+    data["context"][key] = value
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(cli, "_cmd_pdo_invert", no_verb)
+    code, out, err = run(capsys, "--session", str(path), "pdo", "invert",
+                         "1 + x*Dx^-1")
+    assert code == 3
+    assert out == []
+    assert (f"error (domain): context {key} must be an integer in {bounds}, "
+            f"got {value}") in err
 
 
 def test_exponent_above_cap_is_usage_error(capsys):

@@ -18,7 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "opcurve"
-STORAGE_ATTRS = {"coeffs", "_low_bound", "_at"}
+STORAGE_ATTRS = {"coeffs", "_num", "_den", "_fracs", "_low_bound",
+                 "_at"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "exactcore.py")
 
 
@@ -62,9 +63,13 @@ def test_checker_flags_storage_reads_and_private_imports(tmp_path):
                    "from . import exactcore\n"
                    "def f(s, w):\n"
                    "    exactcore._prec_key(None)\n"
-                   "    return s.coeffs, w._low_bound(), s._at(0)\n")
+                   "    return s.coeffs, w._low_bound(), s._at(0)\n"
+                   "def g(s):\n"
+                   "    return s._num[0], s._den, s._fracs\n")
     found = violations(bad)
-    assert len(found) == 6, found
+    assert len(found) == 9, found
+    assert {"line 8: reads ._num", "line 8: reads ._den",
+            "line 8: reads ._fracs"} <= set(found)
 
 
 def _bench_layers():

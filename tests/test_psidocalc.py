@@ -299,6 +299,21 @@ def test_invert_identity_is_exact():
     assert t == MatrixPsiDO.identity(2)
 
 
+@pytest.mark.parametrize("deg,coeff,depth", [
+    (-1, XSeries.x(), 0),
+    (-2, XSeries.one(), 1),
+    (-3, XSeries.one(), 2),
+])
+def test_invert_truncated_before_first_term_is_not_exact(deg, coeff, depth):
+    # every computed t_d is zero, but the inverse of S != I has terms
+    # below the window, so the result must carry the window
+    s = MatrixPsiDO.from_scalars({0: XSeries.one(), deg: coeff})
+    t = invert_dressing(s, depth=depth)
+    assert not t.exact
+    assert t.lo == -depth
+    assert t.degrees() == [0]
+
+
 def test_invert_dressing_round_trip_sampled():
     rng = random.Random(808)
     for _ in range(8):

@@ -118,6 +118,16 @@ def test_session_load_save_byte_identical():
     assert again.names("pdo") == ["P"]
 
 
+def test_session_context_admits_its_bounds_and_only_integers():
+    ses = Session({"depth": 100, "xprec": 0, "zlo": -1000, "zhi": 1000})
+    assert ses.context == {"depth": 100, "xprec": 0, "zlo": -1000,
+                           "zhi": 1000}
+    for bad in ("5", 5.0, True, None):
+        with pytest.raises(DomainError, match="context depth must be an "
+                                              "integer in"):
+            Session({"depth": bad})
+
+
 def test_session_canonicalizes_padded_input():
     raw = canonical_json({
         "format": "opcurve-session",
