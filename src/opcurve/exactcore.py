@@ -7,9 +7,8 @@ used throughout:
 
 * XSeries: a power series in x whose coefficients are guaranteed for
   exponents 0 <= k < prec.  prec is None when the series is known exactly
-  (a polynomial with all higher coefficients exactly zero).  It stores
-  integer numerators over one positive denominator, in lowest terms, so
-  its arithmetic runs on integers.
+  (a polynomial with all higher coefficients exactly zero), stored as
+  integer numerators over one positive denominator in lowest terms.
 
 * ZLaurent: a Laurent series in z whose coefficients are guaranteed for
   exponents k <= prec, with only finitely many negative exponents.  prec
@@ -142,24 +141,24 @@ class XSeries:
     """Truncated power series in x over the rationals.
 
     Coefficients c0, c1, ... are integer numerators _num (trailing zeros
-    stripped) over one positive denominator _den, in lowest terms (_den =
-    1 for a zero series).  prec is the number of guaranteed coefficients,
-    or None when the series is exactly the stored polynomial; coefficients
-    at indices >= prec are unknown, never silently zero.  coeff, items and
-    coeffs give Fractions, kept in _fracs once built.
+    stripped) over one denominator _den > 0, in lowest terms (_den = 1 for
+    zero).  prec counts the guaranteed coefficients, or is None when the
+    series is exactly the stored polynomial; those at indices >= prec are
+    unknown, never silently zero.  coeff, items and coeffs give Fractions;
+    coeffs keeps its tuple in _fracs for re-reads.
     """
 
     __slots__ = ("_num", "_den", "prec", "_fracs")
 
     def __init__(self, coeffs, prec=None):
-        cs = [as_fraction(c) for c in coeffs]
-        den = _common_den(cs)
-        self._set([c.numerator * (den // c.denominator) for c in cs],
-                  den, prec)
-        self._fracs = tuple(cs[:len(self._num)])
+        pairs = [as_fraction(c).as_integer_ratio() for c in coeffs][:prec]
+        # the kept pairs are in lowest terms, so over their lcm none reduce
+        den = lcm(*[d for _, d in pairs])
+        self._set([n * (den // d) for n, d in pairs], den, prec,
+                  reduced=True)
 
-    def _set(self, num, den, prec):
-        """Store num/den (den > 0) in lowest terms, truncated below x^prec."""
+    def _set(self, num, den, prec, reduced=False):
+        """Store num/den (den > 0) below x^prec, in lowest terms."""
         if prec is not None:
             if prec <= 0:
                 raise PrecisionError("x-precision exhausted (need prec >= 1)")
@@ -167,7 +166,7 @@ class XSeries:
         num = list(num)
         while num and not num[-1]:
             num.pop()
-        g = gcd(den, *num)
+        g = 1 if reduced else gcd(den, *num)
         if g != 1:
             num = [x // g for x in num]
             den //= g
@@ -208,7 +207,7 @@ class XSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The stored c0, c1, ... as Fractions, built once and kept."""
+        """The stored c0, c1, ... as Fractions, built on the first read."""
         if self._fracs is None:
             d = self._den
             self._fracs = tuple(Fraction(x, d) for x in self._num)
@@ -223,7 +222,7 @@ class XSeries:
         if not self.known(k):
             raise PrecisionError(
                 f"coefficient of x^{k} unknown (guaranteed below x^{self.prec})")
-        return self.coeffs[k] if k < len(self._num) else Fraction(0)
+        return Fraction(self._num[k] if k < len(self._num) else 0, self._den)
 
     def is_zero(self) -> bool:
         """True when every guaranteed coefficient vanishes."""
@@ -345,13 +344,16 @@ class XSeries:
         prec = min(prec, _prec_key(self.prec))
         # with a = A/den, the k-th coefficient of 1/A is e_k / u^(k+1),
         # where e_0 = 1 and e_k = -sum_(i=1..k) A_i u^(i-1) e_(k-i)
+        pw = [1]  # pw[i] = u^i
+        for _ in range(max(prec, len(a))):
+            pw.append(pw[-1] * u)
         e = [1]
         for k in range(1, prec):
-            e.append(-sum(a[i] * u ** (i - 1) * e[k - i]
+            e.append(-sum(a[i] * pw[i - 1] * e[k - i]
                           for i in range(1, min(k, len(a) - 1) + 1)))
         n = len(e)
-        num = [den * x * u ** (n - 1 - k) for k, x in enumerate(e)]
-        return XSeries._make(num, u ** n, prec)
+        num = [den * x * pw[n - 1 - k] for k, x in enumerate(e)]
+        return XSeries._make(num, pw[n], prec)
 
     def truncate(self, prec: int) -> "XSeries":
         if prec is None:

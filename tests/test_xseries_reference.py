@@ -275,6 +275,9 @@ def test_storage_is_canonical():
     a = XSeries([Fraction(1, 2), Fraction(1, 3)])
     b = XSeries([Fraction(2, 4), Fraction(2, 6), 0])
     assert a._num == b._num == (3, 2) and a._den == b._den == 6
+    # a coefficient cut off by prec leaves no factor in the denominator
+    c = XSeries([Fraction(1, 2), Fraction(1, 3)], 1)
+    assert c._num == (1,) and c._den == 2
     z = XSeries([Fraction(1, 3)]) - XSeries([Fraction(1, 3)])
     assert z._num == () and z._den == 1
     assert XSeries([-2, 1]).inverse(4) == XSeries(
