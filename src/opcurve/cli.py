@@ -498,8 +498,8 @@ def _cmd_verify_commute(env, args):
     else:
         raise DomainError("give operator expressions or --session FILE")
     rep = verify_commutative(ops)
-    precs = [p for p in (op.xprec() for op in ops) if p is not None]
-    nx = min(precs) if precs else None
+    nx = min_prec(e for op in ops for mat in op.terms.values()
+                  for row in mat.rows for e in row)
     window = "exactly" if nx is None else f"to precision (Nx={nx})"
     if rep.ok:
         lines = [f"PASS: all commutators zero {window}"]

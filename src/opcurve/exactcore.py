@@ -7,12 +7,15 @@ used throughout:
 
 * XSeries: a power series in x whose coefficients are guaranteed for
   exponents 0 <= k < prec.  prec is None when the series is known exactly
-  (a polynomial with all higher coefficients exactly zero), stored as
-  integer numerators over one positive denominator in lowest terms.
+  (a polynomial with all higher coefficients exactly zero).
 
 * ZLaurent: a Laurent series in z whose coefficients are guaranteed for
   exponents k <= prec, with only finitely many negative exponents.  prec
   is None when the series is known exactly (finite support).
+
+Both store integer numerators from a starting exponent over one positive
+denominator, in lowest terms, and share that storage and the arithmetic
+it allows through one private base class.
 
 Precision propagates pessimistically: the result of an operation never
 claims a coefficient the inputs cannot justify, and asking a question
@@ -20,16 +23,17 @@ outside the guaranteed window raises PrecisionError instead of guessing.
 
 This module alone decides how coefficients are stored.  Every other
 module reads a series through its methods: coeff, items, support,
-is_zero, valuation/order, low_bound and degree_bound.  The coeffs
-attribute stays readable (a tuple of Fractions built on read on XSeries,
-a dict on ZLaurent) only for the benchmark and the tests.
+is_zero, valuation/order, low_bound and degree_bound.  The read-only
+coeffs attribute (a tuple of Fractions on XSeries, a dict of exponent ->
+nonzero Fraction on ZLaurent, both built on read) is there only for the
+benchmark and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import factorial, gcd, inf, lcm
+from itertools import chain, islice, repeat, zip_longest
+from math import gcd, inf, lcm, perm
 
 
 # Default windows for interactive work.  Library operations derive their
@@ -137,49 +141,237 @@ def _format_terms(items, var):
     return out
 
 
-class XSeries:
-    """Truncated power series in x over the rationals.
+_ZERO = Fraction(0)
 
-    Coefficients c0, c1, ... are integer numerators _num (trailing zeros
-    stripped) over one denominator _den > 0, in lowest terms (_den = 1 for
-    zero).  prec counts the guaranteed coefficients, or is None when the
-    series is exactly the stored polynomial; those at indices >= prec are
-    unknown, never silently zero.  coeff, items and coeffs give Fractions;
-    coeffs keeps its tuple in _fracs for re-reads.
+
+class _Series:
+    """Storage and arithmetic shared by XSeries and ZLaurent.
+
+    The coefficient of var^(_lo + i) is _num[i] / _den.  _num holds
+    integers with no zero at either end, _den > 0, and the pair is in
+    lowest terms (_lo = 0 and _den = 1 for zero), so every value has one
+    stored form.  Exponents below prec + _END are guaranteed; prec None
+    means the series is exactly what is stored.  coeff and items read a
+    dict of the nonzero coefficients as Fractions, kept in _fracs once
+    built.
     """
 
-    __slots__ = ("_num", "_den", "prec", "_fracs")
+    __slots__ = ("_lo", "_num", "_den", "prec", "_fracs")
 
-    def __init__(self, coeffs, prec=None):
-        pairs = [as_fraction(c).as_integer_ratio() for c in coeffs][:prec]
-        # the kept pairs are in lowest terms, so over their lcm none reduce
-        den = lcm(*[d for _, d in pairs])
-        self._set([n * (den // d) for n, d in pairs], den, prec,
-                  reduced=True)
+    # Each subclass sets _VAR, the variable's name; _END, which puts the
+    # lowest unknown exponent at prec + _END; _UNKNOWN, the error text for
+    # reading there; and _EXHAUSTED, where a window must reach exponent 0,
+    # the error text for one that does not.
+    _EXHAUSTED = None
 
-    def _set(self, num, den, prec, reduced=False):
-        """Store num/den (den > 0) below x^prec, in lowest terms."""
+    def _set(self, lo, num, den, prec, reduced=False):
+        """Store num/den from exponent lo (den > 0), cut at the window, in
+        lowest terms; reduced says the pair is in lowest terms already."""
+        hi = len(num)
         if prec is not None:
-            if prec <= 0:
-                raise PrecisionError("x-precision exhausted (need prec >= 1)")
-            num = num[:prec]
-        num = list(num)
-        while num and not num[-1]:
-            num.pop()
-        g = 1 if reduced else gcd(den, *num)
+            end = prec + self._END
+            if end <= 0 and self._EXHAUSTED:
+                raise PrecisionError(self._EXHAUSTED)
+            if end - lo < hi:
+                hi = end - lo if end > lo else 0
+        while hi and not num[hi - 1]:
+            hi -= 1
+        i = 0
+        while i < hi and not num[i]:
+            i += 1
+        if i or hi < len(num):
+            num = num[i:hi]
+        # zero keeps den = 1, and a reduced pair needs no gcd
+        g = den if not num else 1 if reduced else gcd(den, *num)
         if g != 1:
             num = [x // g for x in num]
             den //= g
+        self._lo = lo + i if num else 0
         self._num = tuple(num)
         self._den = den
         self.prec = prec
         self._fracs = None
 
     @classmethod
-    def _make(cls, num, den, prec=None) -> "XSeries":
+    def _make(cls, lo, num, den, prec=None, reduced=False):
         s = cls.__new__(cls)
-        s._set(num, den, prec)
+        s._set(lo, num, den, prec, reduced)
         return s
+
+    def _view(self) -> dict:
+        """The nonzero coefficients as {exponent: Fraction}, kept."""
+        v = self._fracs
+        if v is None:
+            d = self._den
+            v = self._fracs = {k: Fraction(x, d) for k, x in
+                               enumerate(self._num, self._lo) if x}
+        return v
+
+    # -- inspection --------------------------------------------------
+
+    @property
+    def exact(self) -> bool:
+        return self.prec is None
+
+    def known(self, k: int) -> bool:
+        return self.prec is None or k < self.prec + self._END
+
+    def coeff(self, k: int) -> Fraction:
+        if not self.known(k):
+            raise PrecisionError(self._UNKNOWN.format(k=k, prec=self.prec))
+        return self._view().get(k, _ZERO)
+
+    def items(self):
+        """The nonzero (exponent, coefficient) pairs, exponents increasing."""
+        return list(self._view().items())
+
+    def is_zero(self) -> bool:
+        """True when every guaranteed coefficient vanishes."""
+        return not self._num
+
+    # -- arithmetic --------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other)
+        return None
+
+    def _aligned(self, o):
+        """The lowest stored exponent of self and o, and their numerators
+        paired by exponent from there on."""
+        a, b = self._num, o._num
+        la = self._lo if a else o._lo
+        lb = o._lo if b else la
+        lo = min(la, lb)
+        return lo, zip_longest(chain(repeat(0, la - lo), a),
+                               chain(repeat(0, lb - lo), b), fillvalue=0)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        prec = min(_prec_key(self.prec), _prec_key(o.prec))
+        da, db = self._den, o._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g  # da * fa == db * fb == lcm
+        lo, pairs = self._aligned(o)
+        return self._make(lo, [x * fa + y * fb for x, y in pairs], da * fa,
+                          None if prec == inf else prec)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self._lo, [-x for x in self._num], self._den,
+                          self.prec, reduced=True)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _product(self, o, prec):
+        """self * o by integer convolution, cut at the window prec.  Only
+        pairs of nonzero numerators are visited, so a sparse factor costs
+        its terms, not its span."""
+        a, b = self._num, o._num
+        lo = self._lo + o._lo
+        n = len(a) + len(b) - 1
+        if prec is not None:
+            n = min(n, prec + self._END - lo)
+        n = max(n, 0)
+        cs = [0] * n
+        nb = [(j, y) for j, y in enumerate(b[:n]) if y]
+        for i, x in enumerate(a[:n]):
+            if x:
+                for j, y in nb:
+                    if i + j >= n:
+                        break
+                    cs[i + j] += x * y
+        return self._make(lo, cs, self._den * o._den, prec)
+
+    @staticmethod
+    def _inverse_num(a, den, n):
+        """Numerators and denominator of the coefficients of t^0 .. t^(n-1),
+        and at least t^0, of den / A for A = a[0] + a[1] t + ... with
+        integer a[i] and a[0] != 0."""
+        if a[0] < 0:  # den/A = (-den)/(-A) keeps u = A_0 and u^k positive
+            a, den = [-x for x in a], -den
+        u = a[0]
+        # the k-th coefficient of 1/A is e_k / u^(k+1), where e_0 = 1 and
+        # e_k = -sum_(i=1..k) A_i u^(i-1) e_(k-i)
+        pw = [1]  # pw[i] = u^i
+        for _ in range(max(n, len(a))):
+            pw.append(pw[-1] * u)
+        e = [1]
+        for k in range(1, n):
+            e.append(-sum(a[i] * pw[i - 1] * e[k - i]
+                          for i in range(1, min(k, len(a) - 1) + 1)))
+        m = len(e)
+        return [den * x * pw[m - 1 - k] for k, x in enumerate(e)], pw[m]
+
+    def truncate(self, prec: int):
+        if prec is None:
+            return self
+        return self._make(self._lo, self._num, self._den,
+                          min(prec, _prec_key(self.prec)))
+
+    def scale(self, a):
+        a = as_fraction(a)
+        return self._make(self._lo, [a.numerator * x for x in self._num],
+                          a.denominator * self._den, self.prec)
+
+    # -- comparison --------------------------------------------------
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        w = min(_prec_key(self.prec), _prec_key(o.prec))
+        if w == inf:
+            return (self._lo == o._lo and self._num == o._num
+                    and self._den == o._den)
+        da, db = self._den, o._den
+        lo, pairs = self._aligned(o)
+        return all(x * db == y * da for x, y in
+                   islice(pairs, max(int(w) + self._END - lo, 0)))
+
+    __hash__ = None
+
+    def __str__(self):
+        return _format_terms(self.items(), self._VAR)
+
+    def __repr__(self):
+        tail = ("" if self.prec is None
+                else f" + O({self._VAR}^{self.prec + self._END})")
+        return f"{type(self).__name__}({self}{tail})"
+
+
+class XSeries(_Series):
+    """Truncated power series in x over the rationals.
+
+    Coefficients of x^k are guaranteed for 0 <= k < prec, or prec is None
+    when the series is exactly the stored polynomial; those at k >= prec
+    are unknown, never silently zero.  coeffs is the tuple c0, c1, ... of
+    Fractions up to the highest nonzero one.
+    """
+
+    __slots__ = ()
+    _VAR, _END = "x", 0
+    _EXHAUSTED = "x-precision exhausted (need prec >= 1)"
+    _UNKNOWN = "coefficient of x^{k} unknown (guaranteed below x^{prec})"
+
+    def __init__(self, coeffs, prec=None):
+        pairs = [as_fraction(c).as_integer_ratio() for c in coeffs][:prec]
+        # the kept pairs are in lowest terms, so over their lcm none reduce
+        den = lcm(*[d for _, d in pairs])
+        self._set(0, [n * (den // d) for n, d in pairs], den, prec,
+                  reduced=True)
 
     # -- constructors ------------------------------------------------
 
@@ -202,98 +394,26 @@ class XSeries:
     # -- inspection --------------------------------------------------
 
     @property
-    def exact(self) -> bool:
-        return self.prec is None
-
-    @property
     def coeffs(self) -> tuple:
-        """The stored c0, c1, ... as Fractions, built on the first read."""
-        if self._fracs is None:
-            d = self._den
-            self._fracs = tuple(Fraction(x, d) for x in self._num)
-        return self._fracs
-
-    def known(self, k: int) -> bool:
-        return self.prec is None or k < self.prec
-
-    def coeff(self, k: int) -> Fraction:
-        if k < 0:
-            return Fraction(0)
-        if not self.known(k):
-            raise PrecisionError(
-                f"coefficient of x^{k} unknown (guaranteed below x^{self.prec})")
-        return Fraction(self._num[k] if k < len(self._num) else 0, self._den)
-
-    def is_zero(self) -> bool:
-        """True when every guaranteed coefficient vanishes."""
-        return not self._num
+        """c0, c1, ... up to the highest nonzero one, as Fractions."""
+        v = self._view()
+        return tuple(v.get(k, _ZERO) for k in range(self.degree_bound() + 1))
 
     def degree_bound(self) -> int:
         """Index of the highest stored nonzero coefficient, -1 if none."""
-        return len(self._num) - 1
-
-    def items(self):
-        """The nonzero (exponent, coefficient) pairs, exponents increasing."""
-        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+        return self._lo + len(self._num) - 1 if self._num else -1
 
     # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, XSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return XSeries.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(_prec_key(self.prec), _prec_key(o.prec))
-        da, db = self._den, o._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g  # da * fa == db * fb == lcm
-        num = [a * fa + b * fb
-               for a, b in zip_longest(self._num, o._num, fillvalue=0)]
-        return XSeries._make(num, da * fa, None if prec == inf else prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XSeries._make([-x for x in self._num], self._den, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.exact and not self._num or o.exact and not o._num:
+            # an exact zero factor keeps the product exactly zero
+            return XSeries.zero()
         prec = min(_prec_key(self.prec), _prec_key(o.prec))
-        if self.is_zero() or o.is_zero():
-            # an exact zero factor keeps the product exactly zero; a
-            # window-zero factor leaves zero on the narrower window
-            exact_zero = (self.exact and self.is_zero()
-                          or o.exact and o.is_zero())
-            return XSeries([], None if exact_zero or prec == inf else prec)
-        ia, ib = self._num, o._num
-        n = len(ia) + len(ib) - 1
-        if prec != inf:
-            n = min(n, prec)
-        cs = [0] * n
-        for i, a in enumerate(ia[:n]):
-            if a:
-                for j, b in enumerate(ib[:n - i], i):
-                    if b:
-                        cs[j] += a * b
-        return XSeries._make(cs, self._den * o._den,
-                             None if prec == inf else prec)
+        return self._product(o, None if prec == inf else prec)
 
     __rmul__ = __mul__
 
@@ -304,25 +424,26 @@ class XSeries:
 
     def derivative(self, j: int = 1) -> "XSeries":
         """The j-th derivative in closed form:
-        [x^q] b^(j) = (q+1)(q+2)...(q+j) b_(q+j), guaranteed below
+        [x^(k-j)] b^(j) = k (k-1) ... (k-j+1) b_k, guaranteed below
         x^(prec - j)."""
         if self.prec is not None and self.prec <= j:
             raise PrecisionError(f"cannot differentiate {j} times a series "
                                  f"guaranteed only below x^{self.prec}")
-        num = []
-        rise = factorial(j)  # (q+1) ... (q+j) at q = 0
-        for q, x in enumerate(self._num[j:]):
+        k0 = max(self._lo, j)  # the exponents below j vanish
+        num, rise = [], perm(k0, j)
+        for k, x in enumerate(self._num[k0 - self._lo:], k0):
             num.append(rise * x)
-            rise = rise * (q + j + 1) // (q + 1)
-        return XSeries._make(num, self._den,
+            rise = rise * (k + 1) // (k + 1 - j)
+        return XSeries._make(k0 - j, num, self._den,
                              None if self.prec is None else self.prec - j)
 
     def integral(self) -> "XSeries":
         """Antiderivative with constant term zero (the normalization used
         for every dressing recursion in this package)."""
-        den = lcm(*range(1, len(self._num) + 1))
-        num = [0] + [x * (den // (k + 1)) for k, x in enumerate(self._num)]
-        return XSeries._make(num, self._den * den,
+        lo = self._lo + 1
+        den = lcm(*range(lo, lo + len(self._num)))
+        num = [x * (den // k) for k, x in enumerate(self._num, lo)]
+        return XSeries._make(lo, num, self._den * den,
                              None if self.prec is None else self.prec + 1)
 
     def inverse(self, prec=None) -> "XSeries":
@@ -331,137 +452,85 @@ class XSeries:
         An exact non-constant series has an infinite inverse, so a target
         precision is required there; it defaults to DEFAULT_XPREC.
         """
-        a, den = self._num, self._den
-        if not a or not a[0]:
+        if self._lo or not self._num:
             raise DomainError("not a unit: constant term is zero")
-        if a[0] < 0:  # a = (-A)/(-den) keeps u = A_0 and u^n positive
-            a, den = [-x for x in a], -den
-        u = a[0]
-        if self.exact and len(a) == 1:
-            return XSeries._make([den], u)
-        if prec is None:
-            prec = self.prec if self.prec is not None else DEFAULT_XPREC
-        prec = min(prec, _prec_key(self.prec))
-        # with a = A/den, the k-th coefficient of 1/A is e_k / u^(k+1),
-        # where e_0 = 1 and e_k = -sum_(i=1..k) A_i u^(i-1) e_(k-i)
-        pw = [1]  # pw[i] = u^i
-        for _ in range(max(prec, len(a))):
-            pw.append(pw[-1] * u)
-        e = [1]
-        for k in range(1, prec):
-            e.append(-sum(a[i] * pw[i - 1] * e[k - i]
-                          for i in range(1, min(k, len(a) - 1) + 1)))
-        n = len(e)
-        num = [den * x * pw[n - 1 - k] for k, x in enumerate(e)]
-        return XSeries._make(num, pw[n], prec)
-
-    def truncate(self, prec: int) -> "XSeries":
-        if prec is None:
-            return self
-        return XSeries._make(self._num, self._den,
-                             min(prec, _prec_key(self.prec)))
-
-    def scale(self, a) -> "XSeries":
-        a = as_fraction(a)
-        return XSeries._make([a.numerator * x for x in self._num],
-                             a.denominator * self._den, self.prec)
-
-    # -- comparison --------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        w = min(_prec_key(self.prec), _prec_key(o.prec))
-        if w == inf:
-            return self._num == o._num and self._den == o._den
-        w, da, db = int(w), self._den, o._den
-        return all(a * db == b * da for a, b in
-                   zip_longest(self._num[:w], o._num[:w], fillvalue=0))
-
-    __hash__ = None
-
-    def __str__(self):
-        return _format_terms(self.items(), "x")
-
-    def __repr__(self):
-        tail = "" if self.prec is None else f" + O(x^{self.prec})"
-        return f"XSeries({self}{tail})"
+        if self.exact and len(self._num) == 1:
+            prec, n = None, 1
+        else:
+            if prec is None:
+                prec = self.prec if self.prec is not None else DEFAULT_XPREC
+            n = prec = min(prec, _prec_key(self.prec))
+        num, den = self._inverse_num(self._num, self._den, n)
+        return XSeries._make(0, num, den, prec)
 
 
-class ZLaurent:
+class ZLaurent(_Series):
     """Truncated Laurent series in z over the rationals.
 
-    coeffs maps z-exponents to nonzero Fractions.  Exponents k <= prec are
-    guaranteed (prec None means the series is exactly its finite support).
-    Only finitely many negative exponents may occur, so the pole order of a
-    nonzero element is always certified once any coefficient is nonzero.
+    Exponents k <= prec are guaranteed (prec None means the series is
+    exactly its finite support).  Only finitely many negative exponents
+    may occur, so the pole order of a nonzero element is always certified
+    once any coefficient is nonzero.  coeffs is the dict of exponent ->
+    nonzero Fraction, built on the first read and kept.
     """
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ()
+    _VAR, _END = "z", 1
+    _UNKNOWN = "coefficient of z^{k} unknown (guaranteed up to z^{prec})"
 
     def __init__(self, coeffs, prec=None):
-        cs = {}
+        pairs = {}
         for k, c in dict(coeffs).items():
             c = as_fraction(c)
-            if c != 0:
-                if prec is not None and k > prec:
-                    continue
-                cs[int(k)] = c
-        self.coeffs = cs
-        self.prec = prec
+            if c and (prec is None or k <= prec):
+                pairs[int(k)] = c.as_integer_ratio()
+        if not pairs:
+            self._set(0, (), 1, prec)
+            return
+        lo = min(pairs)
+        num = [0] * (max(pairs) - lo + 1)
+        # the kept pairs are in lowest terms, so over their lcm none reduce
+        den = lcm(*[d for _, d in pairs.values()])
+        for k, (n, d) in pairs.items():
+            num[k - lo] = n * (den // d)
+        self._set(lo, num, den, prec, reduced=True)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def monomial(cls, k: int, c=1, prec=None) -> "ZLaurent":
-        return cls({k: as_fraction(c)}, prec)
+        n, d = as_fraction(c).as_integer_ratio()
+        return cls._make(int(k), (n,), d, prec, reduced=True)
 
     @classmethod
     def constant(cls, a, prec=None) -> "ZLaurent":
-        return cls({0: as_fraction(a)}, prec)
+        return cls.monomial(0, a, prec)
 
     @classmethod
     def zero(cls, prec=None) -> "ZLaurent":
-        return cls({}, prec)
+        return cls._make(0, (), 1, prec)
 
     @classmethod
     def one(cls) -> "ZLaurent":
-        return cls({0: 1})
+        return cls._make(0, (1,), 1)
 
     # -- inspection --------------------------------------------------
 
     @property
-    def exact(self) -> bool:
-        return self.prec is None
-
-    def known(self, k: int) -> bool:
-        return self.prec is None or k <= self.prec
-
-    def coeff(self, k: int) -> Fraction:
-        if not self.known(k):
-            raise PrecisionError(
-                f"coefficient of z^{k} unknown (guaranteed up to z^{self.prec})")
-        return self.coeffs.get(k, Fraction(0))
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as {exponent: Fraction}."""
+        return self._view()
 
     def support(self):
-        return sorted(self.coeffs)
-
-    def items(self):
-        """The nonzero (exponent, coefficient) pairs, exponents increasing."""
-        return sorted(self.coeffs.items())
-
-    def is_zero(self) -> bool:
-        """True when every guaranteed coefficient vanishes."""
-        return not self.coeffs
+        return [k for k, x in enumerate(self._num, self._lo) if x]
 
     def valuation(self) -> int:
         """Lowest exponent carrying a nonzero coefficient."""
-        if not self.coeffs:
+        if not self._num:
             if self.exact:
                 raise DomainError("valuation of the zero series is undefined")
             raise PrecisionError("order undetermined at this precision (zero within window)")
-        return min(self.coeffs)
+        return self._lo
 
     def order(self) -> int:
         """Pole order: ord(a) = m when a lies in z^-m*Q[[z]] but not z^(-m+1)*Q[[z]]."""
@@ -471,42 +540,11 @@ class ZLaurent:
         """Lowest exponent that could carry a nonzero coefficient: the
         valuation, prec + 1 for a window-zero series, inf for exact zero.
         Window bookkeeping uses it: unknown-tail products start above it."""
-        if self.coeffs:
-            return min(self.coeffs)
+        if self._num:
+            return self._lo
         return inf if self.exact else self.prec + 1
 
     # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, ZLaurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ZLaurent.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(_prec_key(self.prec), _prec_key(o.prec))
-        cs = dict(self.coeffs)
-        for k, c in o.coeffs.items():
-            cs[k] = cs.get(k, Fraction(0)) + c
-        return ZLaurent(cs, None if prec == inf else int(prec))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZLaurent({k: -c for k, c in self.coeffs.items()}, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -516,26 +554,9 @@ class ZLaurent:
         # k = i + j draws on guaranteed coefficients of both factors.
         prec = min(_prec_key(self.prec) + o.low_bound(),
                    _prec_key(o.prec) + self.low_bound())
-        da = _common_den(self.coeffs.values())
-        db = _common_den(o.coeffs.values())
-        ia = {i: int(a * da) for i, a in self.coeffs.items()}
-        ib = {j: int(b * db) for j, b in o.coeffs.items()}
-        cs = {}
-        for i, a in ia.items():
-            for j, b in ib.items():
-                k = i + j
-                if prec != inf and k > prec:
-                    continue
-                cs[k] = cs.get(k, 0) + a * b
-        den = da * db
-        return ZLaurent({k: Fraction(x, den) for k, x in cs.items()},
-                        None if prec == inf else int(prec))
+        return self._product(o, None if prec == inf else int(prec))
 
     __rmul__ = __mul__
-
-    def scale(self, a) -> "ZLaurent":
-        a = as_fraction(a)
-        return ZLaurent({k: a * c for k, c in self.coeffs.items()}, self.prec)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -546,9 +567,9 @@ class ZLaurent:
 
     def derivative_z(self) -> "ZLaurent":
         """d/dz term by term."""
-        cs = {k - 1: k * c for k, c in self.coeffs.items() if k != 0}
-        prec = None if self.prec is None else self.prec - 1
-        return ZLaurent(cs, prec)
+        return ZLaurent._make(
+            self._lo - 1, [k * x for k, x in enumerate(self._num, self._lo)],
+            self._den, None if self.prec is None else self.prec - 1)
 
     def inverse(self, prec=None) -> "ZLaurent":
         """Inverse of a nonzero element of Q((z)).
@@ -559,60 +580,23 @@ class ZLaurent:
         defaults to -v + (DEFAULT_ZHI - DEFAULT_ZLO).
         """
         v = self.valuation()
-        c = self.coeffs[v]
-        if self.exact and len(self.coeffs) == 1:
-            return ZLaurent.monomial(-v, 1 / c)
-        if prec is None:
-            if self.prec is not None:
-                prec = self.prec - 2 * v
-            else:
-                prec = -v + (DEFAULT_ZHI - DEFAULT_ZLO)
+        if self.exact and len(self._num) == 1:
+            prec, n = None, 1
         else:
-            if self.prec is not None:
+            if prec is None:
+                if self.prec is not None:
+                    prec = self.prec - 2 * v
+                else:
+                    prec = -v + (DEFAULT_ZHI - DEFAULT_ZLO)
+            elif self.prec is not None:
                 prec = min(prec, self.prec - 2 * v)
-        # self = c*z^v*(1 + u) with u supported on positive shifts; invert
-        # the unit part by the geometric series, truncated at the window.
-        depth = prec + v  # exponents of the unit-part inverse run 0..depth
-        if depth < 0:
-            raise PrecisionError("window too small to invert at this valuation")
-        u = {k - v: a / c for k, a in self.coeffs.items() if k != v}
-        inv = [Fraction(1)] + [Fraction(0)] * depth
-        for k in range(1, depth + 1):
-            s = Fraction(0)
-            for i, a in u.items():
-                if 0 < i <= k:
-                    s += a * inv[k - i]
-            inv[k] = -s
-        cs = {k - v: inv[k] / c for k in range(depth + 1)}
-        return ZLaurent(cs, int(prec))
-
-    def truncate(self, prec: int) -> "ZLaurent":
-        if prec is None:
-            return self
-        return ZLaurent(self.coeffs, min(prec, _prec_key(self.prec)))
-
-    # -- comparison --------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        w = min(_prec_key(self.prec), _prec_key(o.prec))
-        if w == inf:
-            return self.coeffs == o.coeffs
-        for k in set(self.coeffs) | set(o.coeffs):
-            if k <= w and self.coeffs.get(k, 0) != o.coeffs.get(k, 0):
-                return False
-        return True
-
-    __hash__ = None
-
-    def __str__(self):
-        return _format_terms(self.items(), "z")
-
-    def __repr__(self):
-        tail = "" if self.prec is None else f" + O(z^{self.prec + 1})"
-        return f"ZLaurent({self}{tail})"
+            # self = z^v * A/den with A a unit, and 1/A is needed for
+            # the n exponents 0 .. prec + v
+            n = prec + v + 1
+            if n <= 0:
+                raise PrecisionError("window too small to invert at this valuation")
+        num, den = self._inverse_num(self._num, self._den, n)
+        return ZLaurent._make(-v, num, den, prec)
 
 
 class Matrix:

@@ -228,10 +228,6 @@ class MatrixPsiDO:
         return MatrixPsiDO(self.n, {m: mat for m, mat in self.terms.items()
                                     if m >= new_lo}, new_lo)
 
-    def truncate_x(self, prec: int) -> "MatrixPsiDO":
-        return MatrixPsiDO(self.n, {m: mat.map(lambda e: e.truncate(prec))
-                                    for m, mat in self.terms.items()}, self.lo)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other):
@@ -444,15 +440,19 @@ def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     lo = -depth if s.lo is None else max(-depth, s.lo)
     ident = Matrix.identity(n, XSeries.one())
     svals = {m: mat for m, mat in s.terms.items() if m < 0}
+    # s_0 is the identity only on its window, and so is t_0 = s_0^-1;
+    # comparing D^-d in S o T gives s_0 t_d = -(the Leibniz sum)
+    p = min_prec(e for row in s.coeff(0).rows for e in row)
+    t0 = ident if p is None else ident.map(lambda e: e.truncate(p))
 
-    terms = {0: ident}
+    terms = {0: t0}
     for d in range(1, -lo + 1):
         try:
             acc = _leibniz_coeff(n, svals, terms, -d)
         except PrecisionError:
             raise PrecisionError(
                 f"x-precision exhausted inverting at depth {d}") from None
-        terms[-d] = -acc
+        terms[-d] = -acc if p is None else -(t0 * acc)
     # the true inverse has terms at every depth, so it is only exact when
     # S is exactly the identity; computed t_d that all vanish do not show
     # that (depth 0 computes none, and 1 + D^-2 has t_1 = 0)

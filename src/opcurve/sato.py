@@ -297,8 +297,8 @@ def point_from_dressing(s_op: MatrixPsiDO) -> GrassPoint:
     (or the window of S, if shallower), which keeps every column
     determined well past the exceptional classes, as the reverse solve
     needs.  The action reads x^l of t_d only while d + l <= D, and
-    [x^k] t_d depends only on the coefficients of S below x^(k+d), so S
-    is inverted from its coefficients below x^D.
+    [x^k] t_d depends only on the coefficients of S below x^(k+d), so
+    the negative degrees of S are cut below x^D before inverting.
     """
     if not is_dressing(s_op):
         raise DomainError("operator is not a dressing")
@@ -312,10 +312,11 @@ def point_from_dressing(s_op: MatrixPsiDO) -> GrassPoint:
     stable = n * budget
     depth = 2 * budget + 1
     reach = depth if s_op.lo is None else min(depth, -s_op.lo)
-    # truncate_x needs a positive window; at reach 0 the action reads
-    # t_0 = I alone
-    t = invert_dressing(s_op.truncate_x(reach) if reach else s_op,
-                        depth=depth)
+    # only the negative degrees are cut, so an exact s_0 keeps t_0 exact;
+    # at reach 0 there are none and the action reads t_0 alone
+    cut = MatrixPsiDO(n, {m: mat.map(lambda e: e.truncate(reach)) if m < 0
+                          else mat for m, mat in s_op.terms.items()}, s_op.lo)
+    t = invert_dressing(cut, depth=depth)
     cols = [module_action(t, basis_column(s, n)) for s in range(stable)]
     return GrassPoint(n, cols, stable)
 

@@ -207,16 +207,17 @@ def parse_algebra(payload) -> AlgebraSpec:
 
 # -- tagged dispatch -------------------------------------------------
 
-_PARSERS = {
-    "scalar": parse_scalar,
-    "xseries": parse_xseries,
-    "zlaurent": parse_zlaurent,
-    "qmatrix": parse_qmatrix,
-    "xmatrix": parse_xmatrix,
-    "zmatrix": parse_zmatrix,
-    "pdo": parse_pdo,
-    "grasspoint": parse_grasspoint,
-    "algebra": parse_algebra,
+# tag -> (payload writer, payload parser)
+_CODECS = {
+    "scalar": (scalar_payload, parse_scalar),
+    "xseries": (xseries_payload, parse_xseries),
+    "zlaurent": (zlaurent_payload, parse_zlaurent),
+    "qmatrix": (qmatrix_payload, parse_qmatrix),
+    "xmatrix": (xmatrix_payload, parse_xmatrix),
+    "zmatrix": (zmatrix_payload, parse_zmatrix),
+    "pdo": (pdo_payload, parse_pdo),
+    "grasspoint": (grasspoint_payload, parse_grasspoint),
+    "algebra": (algebra_payload, parse_algebra),
 }
 
 
@@ -251,31 +252,14 @@ def value_tag(value) -> str:
 
 
 def value_payload(value):
-    tag = value_tag(value)
-    if tag == "scalar":
-        return scalar_payload(value)
-    if tag == "xseries":
-        return xseries_payload(value)
-    if tag == "zlaurent":
-        return zlaurent_payload(value)
-    if tag == "qmatrix":
-        return qmatrix_payload(value)
-    if tag == "xmatrix":
-        return xmatrix_payload(value)
-    if tag == "zmatrix":
-        return zmatrix_payload(value)
-    if tag == "pdo":
-        return pdo_payload(value)
-    if tag == "grasspoint":
-        return grasspoint_payload(value)
-    return algebra_payload(value)
+    return _CODECS[value_tag(value)][0](value)
 
 
 def parse_value(tag: str, payload):
-    parser = _PARSERS.get(tag)
-    if parser is None:
+    codec = _CODECS.get(tag)
+    if codec is None:
         raise DomainError(f"unknown value tag {tag!r}")
-    return parser(payload)
+    return codec[1](payload)
 
 
 # -- session files ---------------------------------------------------

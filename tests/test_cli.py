@@ -145,6 +145,16 @@ def test_invert_above_first_dressing_term_prints_window(capsys, depth, text,
     assert out == ["(1)", window]
 
 
+def test_invert_carries_the_window_of_s0(capsys):
+    # 1/(1-x)*(1-x) is 1 only below x^3, so the inverse is known no
+    # further
+    code, out, _ = run(capsys, "--x-prec", "3", "--depth", "2", "pdo",
+                       "invert", "1/(1-x)*(1-x) + Dx^-1")
+    assert code == 0
+    assert out == ["(1) + (-1)*Dx^-1 + (1)*Dx^-2",
+                   "window: degrees >= -2, x-precision 2"]
+
+
 def test_invert_zero_is_domain_error(capsys):
     code, _, err = run(capsys, "pdo", "invert", "0")
     assert code == 3

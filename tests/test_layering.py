@@ -12,13 +12,17 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from opcurve.exactcore import XSeries, ZLaurent
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "opcurve"
-STORAGE_ATTRS = {"coeffs", "_num", "_den", "_fracs", "_low_bound",
+STORAGE_ATTRS = {"coeffs", "_lo", "_num", "_den", "_fracs", "_view",
+                 "_make", "_set", "_product", "_inverse_num", "_low_bound",
                  "_at"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "exactcore.py")
 
@@ -65,11 +69,30 @@ def test_checker_flags_storage_reads_and_private_imports(tmp_path):
                    "    exactcore._prec_key(None)\n"
                    "    return s.coeffs, w._low_bound(), s._at(0)\n"
                    "def g(s):\n"
-                   "    return s._num[0], s._den, s._fracs\n")
+                   "    return s._num[0], s._den, s._fracs\n"
+                   "def h(w):\n"
+                   "    return w._lo, w._view(), type(w)._make(0, [], 1)\n")
     found = violations(bad)
-    assert len(found) == 9, found
+    assert len(found) == 12, found
     assert {"line 8: reads ._num", "line 8: reads ._den",
-            "line 8: reads ._fracs"} <= set(found)
+            "line 8: reads ._fracs", "line 10: reads ._lo",
+            "line 10: reads ._view", "line 10: reads ._make"} <= set(found)
+
+
+def test_coeffs_keeps_the_shape_the_benchmark_reads():
+    # bench/oracles.py and bench/tracing.py read .coeffs directly: a tuple
+    # c0, c1, ... of Fractions on XSeries, and on ZLaurent a dict of
+    # exponent -> nonzero Fraction, the same as dict(items())
+    s = XSeries([Fraction(1, 2), 0, 3], 5)
+    assert s.coeffs == (Fraction(1, 2), Fraction(0), Fraction(3))
+    assert type(s.coeffs) is tuple
+    assert all(type(c) is Fraction for c in s.coeffs)
+    w = ZLaurent({-2: Fraction(3, 4), 0: 0, 1: 5}, 4)
+    assert type(w.coeffs) is dict
+    assert w.coeffs == dict(w.items()) == {-2: Fraction(3, 4), 1: Fraction(5)}
+    assert all(type(k) is int and type(c) is Fraction and c
+               for k, c in w.coeffs.items())
+    assert ZLaurent.zero(3).coeffs == {} and XSeries([0, 0]).coeffs == ()
 
 
 def _bench_layers():

@@ -314,6 +314,50 @@ def test_invert_truncated_before_first_term_is_not_exact(deg, coeff, depth):
     assert t.degrees() == [0]
 
 
+def test_invert_keeps_the_window_of_s0():
+    # s_0 = 1 + O(x^3) is the identity only below x^3, so is its inverse
+    s = MatrixPsiDO(1, {0: Matrix([[XSeries([1], 3)]])})
+    t = invert_dressing(s)
+    assert t.lo is None and t.degrees() == [0]
+    assert repr(scalar(t, 0)) == "XSeries(1 + O(x^3))"
+
+
+def _series_inverse_2x2(m, prec):
+    (a, b), (c, d) = m.rows
+    idet = (a * d - b * c).inverse(prec)
+    return Matrix([[d * idet, -b * idet], [-c * idet, a * idet]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_invert_with_windowed_s0_claims_only_the_true_inverse(n):
+    # S has s_0 = I + E with E_ij a multiple of x^(p_ij); the operator seen
+    # knows s_0 only below those windows.  Its inverse must agree with the
+    # true one, (u S)^-1 u for u = s_0^-1, on every coefficient it claims.
+    rng = random.Random(4242 + n)
+    deep = 30
+    for _ in range(10):
+        windows = [[rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
+        # t_-3 needs two derivatives of t_0, t_-1 none
+        depth = 3 if min(min(w) for w in windows) >= 3 else 1
+        s0 = Matrix([[XSeries([int(i == j)] + [0] * (windows[i][j] - 1)
+                              + [rng.randint(-3, 3) or 1, rng.randint(-3, 3)])
+                      for j in range(n)] for i in range(n)])
+        lower = {m: Matrix([[XSeries([Fraction(rng.randint(-3, 3), 2)
+                                      for _ in range(3)])
+                             for _ in range(n)] for _ in range(n)])
+                 for m in (-1, -2)}
+        seen = MatrixPsiDO(n, {0: Matrix([[s0.rows[i][j].truncate(
+            windows[i][j]) for j in range(n)] for i in range(n)]), **lower})
+        t = invert_dressing(seen, depth=depth)
+        u0 = (Matrix([[s0.rows[0][0].inverse(deep)]]) if n == 1
+              else _series_inverse_2x2(s0, deep))
+        u = MatrixPsiDO(n, {0: u0})
+        truth = invert_dressing(u * MatrixPsiDO(n, {0: s0, **lower}),
+                                depth=depth) * u
+        assert t.xprec() <= min(min(w) for w in windows)
+        assert t == truth
+
+
 def test_invert_dressing_round_trip_sampled():
     rng = random.Random(808)
     for _ in range(8):
