@@ -599,6 +599,46 @@ class ZLaurent(_Series):
         return ZLaurent._make(-v, num, den, prec)
 
 
+def xd_action(parts, prec=None) -> ZLaurent:
+    """The sum of s(x) D^m w over the (s, m, w) triples in parts, with s an
+    XSeries and w a ZLaurent, D read as z^-1 and x as z^2 d/dz, cut at
+    the window prec (None: exact).
+
+    x^l z^q = q (q+1) ... (q+l-1) z^(q+l), so s_l D^m w_p lands at
+    z^(q+l) with q = p - m, times that rising factorial.  Every part adds
+    its numerators into one integer list over the lcm of the products
+    s._den * w._den.  The caller owns the window: no part's own window is
+    read here.
+    """
+    parts = [(s, m, w) for s, m, w in parts if s._num and w._num]
+    den = lcm(*[s._den * w._den for s, _, w in parts])
+    lo = min((w._lo - m + s._lo for s, m, w in parts), default=0)
+    hi = max((w._lo + len(w._num) + s._lo + len(s._num) - 1 - m
+              for s, m, w in parts), default=0)
+    if prec is not None:
+        hi = min(hi, prec + 1)
+    cs = [0] * (hi - lo)
+    for s, m, w in parts:
+        f = den // (s._den * w._den)
+        s_items = [(l, x) for l, x in enumerate(s._num, s._lo) if x]
+        for p, y in enumerate(w._num, w._lo):
+            if not y:
+                continue
+            q = p - m
+            y *= f
+            rise, top = 1, 0  # rise = q (q+1) ... (q+top-1)
+            for l, x in s_items:
+                if q + l >= hi:
+                    break
+                while top < l:
+                    rise *= q + top
+                    top += 1
+                if not rise:
+                    break
+                cs[q + l - lo] += x * rise * y
+    return ZLaurent._make(lo, cs, den, prec)
+
+
 class Matrix:
     """Square matrix over any of the exact coefficient rings used here.
 
@@ -775,23 +815,6 @@ def rref(rows):
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def nullspace(rows):
-    """Basis of the right nullspace, as a list of column vectors."""
-    if not rows:
-        return []
-    a, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
 
 
 # Rows of an overdetermined system are chosen modulo this prime.  It only

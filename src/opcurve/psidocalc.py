@@ -87,12 +87,16 @@ def _leibniz_coeff(n: int, a_terms, b_terms, deg: int) -> Matrix:
     PrecisionError, from XSeries.derivative, when a needed derivative lies
     beyond x-precision.
     """
+    # an exact b_k has exactly zero derivatives from order _end(b_k) on,
+    # so those terms add nothing, not even a window
+    exact_end = {k: _end(b) for k, b in b_terms.items()
+                 if all(e.exact for row in b.rows for e in row)}
     acc = _zero_matrix(n)
     for m, a in a_terms.items():
         inner = None
         for k, b in b_terms.items():
             j = m + k - deg
-            if j < 0 or 0 <= m < j:
+            if j < 0 or 0 <= m < j or j >= exact_end.get(k, inf):
                 continue
             if j:
                 c = binom(m, j)

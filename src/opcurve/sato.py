@@ -32,6 +32,7 @@ from .exactcore import (
     rref,  # unused here, but bench/test_bench.py reads sato.rref
     solve,
     solve_system,
+    xd_action,
 )
 from .psidocalc import MatrixPsiDO, is_dressing, invert_dressing
 
@@ -67,49 +68,34 @@ def _as_vector(vec, n):
     return vec
 
 
-def _scalar_action(s, m, w):
-    # s(x) D^m applied to w: D^m shifts exponents up by m, then each
-    # power of x multiplies by the rising factorial of the exponent.
-    caps = []
-    if w.prec is not None:
-        caps.append(w.prec - m)
-    if s.prec is not None:
-        lb = w.low_bound()
-        if lb != inf:
-            caps.append(int(lb) - m + s.prec - 1)
-    prec = min(caps) if caps else None
-    vals = {}
-    s_items = s.items()
-    for p, wc in w.items():
-        q = p - m
-        rise, top = 1, 0  # rise = q (q+1) ... (q+top-1)
-        for l, c in s_items:
-            while top < l:
-                rise *= q + top
-                top += 1
-            if not rise:
-                break
-            e = q + l
-            vals[e] = vals.get(e, 0) + c * rise * wc
-    return ZLaurent(vals, prec)
-
-
 def module_action(op: MatrixPsiDO, vec):
-    """Apply an operator to a Laurent column, tracking windows."""
+    """Apply an operator to a Laurent column, tracking windows.
+
+    Entry i sums s D^m w over the terms of row i and the column entries
+    w, in one exactcore.xd_action call, known up to the smallest cap of
+    its parts.  With lb = w.low_bound(): w.prec - m for a windowed w;
+    lb - m + s.prec - 1 for a windowed s, whose unknown x^(s.prec) lands
+    at z^(lb - m + s.prec) first; and lb - op.lo for the smallest lb of
+    the column, where the untracked degree op.lo - 1 lands first.  A
+    part whose s is an exact zero still caps the entry through w.
+    """
     vec = _as_vector(vec, op.n)
-    n = op.n
-    out = [ZLaurent.zero() for _ in range(n)]
-    for m, mat in op.terms.items():
-        for i in range(n):
-            acc = out[i]
-            for j in range(n):
-                acc = acc + _scalar_action(mat.entry(i, j), m, vec[j])
-            out[i] = acc
-    if op.lo is not None:
-        lb = min((w.low_bound() for w in vec), default=inf)
-        if lb != inf:
-            cap = int(lb) - op.lo
-            out = [w.truncate(cap) for w in out]
+    lbs = [w.low_bound() for w in vec]
+    top = inf
+    if op.lo is not None and min(lbs, default=inf) != inf:
+        top = min(lbs) - op.lo
+    out = []
+    for i in range(op.n):
+        cap = top
+        parts = []
+        for m, mat in op.terms.items():
+            for s, w, lb in zip(mat.rows[i], vec, lbs):
+                if w.prec is not None:
+                    cap = min(cap, w.prec - m)
+                if s.prec is not None and lb != inf:
+                    cap = min(cap, lb - m + s.prec - 1)
+                parts.append((s, m, w))
+        out.append(xd_action(parts, None if cap == inf else cap))
     return tuple(out)
 
 

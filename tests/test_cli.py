@@ -1,6 +1,7 @@
 """Command line driver: verbs, exit codes, flag placement, sessions."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from opcurve.session import Session
 CUSP_P = "Dx^2 - 2*1/((x+1)^2)"
 CUSP_Q = "Dx^3 - 3*1/((x+1)^2)*Dx + 3*1/((x+1)^3)"
 J_GEN = "[[0,1],[z^-1,0]]"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -57,6 +59,15 @@ def test_verify_commute_needs_operands(capsys):
 
 
 # -- pdo verbs --------------------------------------------------------
+
+def test_compose_of_a_long_exact_power_is_unchanged(capsys):
+    # exactly vanishing derivatives are skipped in the Leibniz sum; the
+    # printed product must stay what the full sum printed
+    expected = (GOLDEN / "compose_dx_plus_1_pow120.txt").read_text()
+    code = main(["pdo", "compose", "(Dx+1)^120", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
 
 def test_compose_heisenberg(capsys):
     code, out, _ = run(capsys, "pdo", "commutator", "Dx", "x")

@@ -12,7 +12,6 @@ from opcurve.exactcore import (
     XSeries,
     ZLaurent,
     char_coefficients,
-    nullspace,
     rank,
     SELECTION_PRIME,
     rref,
@@ -345,14 +344,6 @@ def test_rref_and_rank():
     r, pivots = rref(a)
     assert pivots == [0, 1]
     assert rank(a) == 2
-
-
-def test_nullspace_is_kernel():
-    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    for v in nullspace(a):
-        for row in a:
-            assert sum(Fraction(e) * c for e, c in zip(row, v)) == 0
-    assert len(nullspace(a)) == 1
 
 
 def test_solve_consistent_and_inconsistent():

@@ -1,0 +1,329 @@
+"""sato.module_action against the Fraction implementation it replaced, and
+the window soundness of module_action and point_from_dressing.
+
+ref_module_action below is the former module_action, kept as an oracle:
+each part s(x) D^m w went through _scalar_action, a dict of Fraction
+products c * rise * wc, and each output entry was a sum of ZLaurents, cut
+at the op.lo cap.  On seeded operators of size 1 and 2 with degrees of
+both signs, exact, windowed, exact-zero and windowed-zero coefficients,
+exact, windowed and windowed-zero column entries, and op.lo both None and
+set, the integer kernel must agree with it on repr, prec and == of every
+output entry.
+
+The soundness tests run each operation on inputs cut to a window and
+again on two completions of those inputs known much deeper, and require
+every coefficient the first result claims to match both.  Where the two
+completions first differ bounds the window the inputs really determine;
+how far the claimed window falls short of it is recorded as the test
+suite properties <operation>.max_shortfall and <operation>.tight_share
+(shown by --junitxml).
+"""
+
+import random
+from fractions import Fraction
+from math import inf
+
+from opcurve.exactcore import (
+    Matrix,
+    PrecisionError,
+    XSeries,
+    ZLaurent,
+)
+from opcurve.psidocalc import MatrixPsiDO
+from opcurve.sato import module_action, point_from_dressing
+
+
+def _scalar_action(s, m, w):
+    caps = []
+    if w.prec is not None:
+        caps.append(w.prec - m)
+    if s.prec is not None:
+        lb = w.low_bound()
+        if lb != inf:
+            caps.append(int(lb) - m + s.prec - 1)
+    prec = min(caps) if caps else None
+    vals = {}
+    s_items = s.items()
+    for p, wc in w.items():
+        q = p - m
+        rise, top = 1, 0  # rise = q (q+1) ... (q+top-1)
+        for l, c in s_items:
+            while top < l:
+                rise *= q + top
+                top += 1
+            if not rise:
+                break
+            e = q + l
+            vals[e] = vals.get(e, 0) + c * rise * wc
+    return ZLaurent(vals, prec)
+
+
+def ref_module_action(op, vec):
+    n = op.n
+    out = [ZLaurent.zero() for _ in range(n)]
+    for m, mat in op.terms.items():
+        for i in range(n):
+            acc = out[i]
+            for j in range(n):
+                acc = acc + _scalar_action(mat.entry(i, j), m, vec[j])
+            out[i] = acc
+    if op.lo is not None:
+        lb = min((w.low_bound() for w in vec), default=inf)
+        if lb != inf:
+            cap = int(lb) - op.lo
+            out = [w.truncate(cap) for w in out]
+    return tuple(out)
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 7]))
+
+
+def _fresh(rng, k):
+    """k nonzero rationals: a completion's tail that differs wherever the
+    cut input leaves room."""
+    return [_rational(rng) or Fraction(1) for _ in range(k)]
+
+
+S_KINDS = ("exact", "windowed", "exact zero", "windowed zero")
+W_KINDS = ("exact", "windowed", "windowed zero")
+
+
+def _s(rng, kind):
+    cs = [_rational(rng) for _ in range(rng.randint(1, 5))]
+    if kind == "exact":
+        return XSeries(cs)
+    if kind == "windowed":
+        return XSeries(cs, rng.randint(1, 6))
+    if kind == "exact zero":
+        return XSeries.zero()
+    return XSeries([0] * rng.randint(0, 2), rng.randint(1, 4))
+
+
+def _w(rng, kind):
+    v = rng.randint(-4, 3)
+    cs = {k: _rational(rng) for k in range(v, v + rng.randint(1, 5))}
+    if kind == "exact":
+        return ZLaurent(cs)
+    if kind == "windowed":
+        return ZLaurent(cs, v + rng.randint(-1, 6))
+    return ZLaurent.zero(rng.randint(-4, 4))
+
+
+def test_module_action_matches_fraction_reference():
+    rng = random.Random(20240611)
+    seen = set()
+    for _ in range(2400):
+        n = rng.choice([1, 2])
+        degs = rng.sample(range(-3, 4), rng.randint(1, 3))
+        terms = {}
+        for m in degs:
+            kinds = [[rng.choice(S_KINDS) for _ in range(n)]
+                     for _ in range(n)]
+            terms[m] = Matrix([[_s(rng, k) for k in row] for row in kinds])
+            seen.update(("s", k, m > 0) for row in kinds for k in row)
+        lo = None if rng.random() < 0.5 else min(degs) - rng.randint(0, 2)
+        op = MatrixPsiDO(n, terms, lo)
+        w_kinds = [rng.choice(W_KINDS) for _ in range(n)]
+        vec = tuple(_w(rng, k) for k in w_kinds)
+        seen.update(("w", k) for k in w_kinds)
+        seen.add(("n", n, lo is None))
+        got = module_action(op, vec)
+        want = ref_module_action(op, vec)
+        for a, b in zip(got, want):
+            assert repr(a) == repr(b)
+            assert a.prec == b.prec
+            assert a == b
+    assert {("s", k, pos) for k in S_KINDS for pos in (True, False)} <= seen
+    assert {("w", k) for k in W_KINDS} <= seen
+    assert {("n", n, e) for n in (1, 2) for e in (True, False)} <= seen
+
+
+# -- window soundness --------------------------------------------------
+
+DEEP = 24
+
+
+def _determined(a, b):
+    """The highest exponent up to which two results agree, within both
+    windows; inf when they agree exactly."""
+    tops = [w.prec for w in (a, b) if w.prec is not None]
+    top = min(tops) if tops else None
+    sup = a.support() + b.support()
+    if top is None and a == b:
+        return inf
+    hi = top if top is not None else max(sup, default=0) + 1
+    for k in range(min(sup, default=0), hi + 1):
+        if a.coeff(k) != b.coeff(k):
+            return k - 1
+    return hi
+
+
+def _claims_hold(shallow, deep):
+    """Every coefficient shallow claims agrees with deep."""
+    if shallow.exact:
+        assert deep.exact
+        assert shallow == deep
+        return
+    assert deep.known(shallow.prec)
+    sup = shallow.support() + deep.support()
+    for k in range(min(sup, default=0) - 1, shallow.prec + 1):
+        assert shallow.coeff(k) == deep.coeff(k), k
+
+
+def _compare(shallow, deep_a, deep_b, shortfalls):
+    """Soundness against both completions, and the shortfall of the
+    shallow window behind the exponents the two completions agree on."""
+    _claims_hold(shallow, deep_a)
+    _claims_hold(shallow, deep_b)
+    if shallow.prec is not None:
+        shortfalls.append(_determined(deep_a, deep_b) - shallow.prec)
+
+
+def _record(record, name, shortfalls):
+    assert shortfalls and min(shortfalls) >= 0
+    finite = [s for s in shortfalls if s != inf]
+    record(f"{name}.max_shortfall", max(finite, default=0))
+    record(f"{name}.tight_share",
+           round(shortfalls.count(0) / len(shortfalls), 3))
+
+
+def _deep_x(rng):
+    """A series known to x^DEEP, or an exact polynomial."""
+    if rng.random() < 0.3:
+        return XSeries([_rational(rng) for _ in range(rng.randint(0, 3))])
+    return XSeries([_rational(rng) for _ in range(DEEP)], DEEP)
+
+
+def _cut_x(rng, s):
+    """s, s cut to a shallow window, and a second completion of that cut:
+    the same guaranteed coefficients with a fresh tail to x^DEEP."""
+    if s.exact and rng.random() < 0.5:
+        return s, s, s
+    w = rng.randint(1, 5)
+    cut = s.truncate(w)
+    known = [cut.coeff(k) for k in range(w)]
+    return s, cut, XSeries(known + _fresh(rng, DEEP - w), DEEP)
+
+
+def _deep_z(rng):
+    """A series from a valuation in [-3, 2] known to z^DEEP, or an exact
+    finite one."""
+    v = rng.randint(-3, 2)
+    cs = {k: _rational(rng) for k in range(v, DEEP + 1)}
+    cs[v] = cs[v] or Fraction(1)
+    if rng.random() < 0.25:
+        return ZLaurent({k: c for k, c in cs.items() if k < v + 4})
+    return ZLaurent(cs, DEEP)
+
+
+def _cut_z(rng, w):
+    """w, w cut to a shallow window (possibly below its valuation), and a
+    second completion of that cut with a fresh tail to z^DEEP."""
+    if w.exact and rng.random() < 0.5:
+        return w, w, w
+    v = w.valuation()
+    top = v + rng.randint(-1, 6)
+    cut = w.truncate(top)
+    known = {k: cut.coeff(k) for k in range(v, top + 1)}
+    known.update(zip(range(top + 1, DEEP + 1), _fresh(rng, DEEP - top)))
+    return w, cut, ZLaurent(known, DEEP)
+
+
+def _tail_matrix(rng, n):
+    return Matrix([[XSeries(_fresh(rng, DEEP), DEEP) for _ in range(n)]
+                   for _ in range(n)])
+
+
+def test_module_action_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-module-action")
+    shortfalls = []
+    for _ in range(300):
+        n = rng.choice([1, 2])
+        degs = rng.sample(range(-3, 4), rng.randint(1, 3))
+        lo = None if rng.random() < 0.5 else rng.randint(min(degs), max(degs))
+        deep, cut, other = {}, {}, {}
+        for m in degs:
+            trip = [[_cut_x(rng, _deep_x(rng)) for _ in range(n)]
+                    for _ in range(n)]
+            deep[m], cut[m], other[m] = (
+                Matrix([[e[i] for e in row] for row in trip])
+                for i in range(3))
+        if lo is not None:
+            # the cut operator is blind below lo, so the second
+            # completion puts other terms there
+            other = {m: mat for m, mat in other.items() if m >= lo}
+            other[lo - 1] = _tail_matrix(rng, n)
+            other[lo - 2] = _tail_matrix(rng, n)
+        vec = [_cut_z(rng, _deep_z(rng)) for _ in range(n)]
+        shallow = module_action(MatrixPsiDO(n, cut, lo),
+                                tuple(e[1] for e in vec))
+        deep_a = module_action(MatrixPsiDO(n, deep), tuple(e[0] for e in vec))
+        deep_b = module_action(MatrixPsiDO(n, other),
+                               tuple(e[2] for e in vec))
+        for s, a, b in zip(shallow, deep_a, deep_b):
+            _compare(s, a, b, shortfalls)
+    _record(record_testsuite_property, "module_action", shortfalls)
+
+
+def _dressing(rng, n, depth, nx):
+    """An exact dressing I + sum of polynomial coefficients below x^nx."""
+    terms = {0: Matrix.identity(n, XSeries.one())}
+    for m in range(1, depth + 1):
+        terms[-m] = Matrix([[XSeries(_fresh(rng, nx))
+                             for _ in range(n)] for _ in range(n)])
+    return terms
+
+
+def _complete_poly(cut, other, nx):
+    """cut's guaranteed coefficients, then other's, as an exact polynomial
+    below x^nx."""
+    if cut.exact:
+        return cut
+    return XSeries([cut.coeff(k) for k in range(cut.prec)]
+                   + [other.coeff(k) for k in range(cut.prec, nx)])
+
+
+def test_point_from_dressing_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-point-from-dressing")
+    shortfalls = []
+    checked = 0
+    for _ in range(40):
+        n = rng.choice([1, 1, 2])
+        depth = rng.randint(1, 3)
+        nx = rng.randint(1, 3)
+        true = _dressing(rng, n, depth, nx)
+        # the shallow input keeps the degrees down to -d1 and, optionally,
+        # the coefficients below x^w; the second completion replaces
+        # everything else
+        d1 = rng.randint(1, depth)
+        w = rng.randint(1, nx) if rng.random() < 0.4 else None
+        other = _dressing(rng, n, depth + 1, nx + 1)
+        cut = {}
+        for m, mat in true.items():
+            if m < -d1:
+                continue
+            if m < 0 and w is not None:
+                mat = mat.map(lambda e: e.truncate(w))
+            cut[m] = mat
+            other[m] = Matrix([[_complete_poly(c, o, nx + 1)
+                                for c, o in zip(crow, orow)]
+                               for crow, orow in zip(mat.rows, other[m].rows)])
+        try:
+            shallow = point_from_dressing(MatrixPsiDO(n, cut, -d1))
+        except PrecisionError:
+            continue
+        deep_a = point_from_dressing(MatrixPsiDO(n, true))
+        deep_b = point_from_dressing(MatrixPsiDO(n, other))
+        stable = min(shallow.stable_from, deep_a.stable_from,
+                     deep_b.stable_from)
+        for c in range(stable):
+            for s, a, b in zip(shallow.columns[c], deep_a.columns[c],
+                               deep_b.columns[c]):
+                _compare(s, a, b, shortfalls)
+        checked += 1
+    assert checked >= 25
+    _record(record_testsuite_property, "point_from_dressing", shortfalls)
+

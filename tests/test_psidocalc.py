@@ -206,6 +206,37 @@ def test_compose_precision_poisoning():
     assert set(prod.degrees()) <= {-1, -2, -3}
 
 
+def test_compose_of_exact_operators_skips_vanishing_derivatives(monkeypatch):
+    calls = []
+    real = XSeries.derivative
+
+    def counted(self, j=1):
+        calls.append(j)
+        return real(self, j)
+
+    monkeypatch.setattr(XSeries, "derivative", counted)
+    # D^3 o (x^2 + D): only the first and second derivatives of x^2 are
+    # nonzero; the constant 1 and the third derivative of x^2 vanish
+    # exactly and are never computed
+    p = MatrixPsiDO.d(3)
+    q = MatrixPsiDO.from_scalars({0: XSeries([0, 0, 1]), 1: 1})
+    prod = p * q
+    assert sorted(calls) == [1, 2]
+    assert prod == MatrixPsiDO.from_scalars(
+        {4: 1, 3: XSeries([0, 0, 1]), 2: XSeries([0, 6]), 1: 6})
+    # constant coefficients: no derivative at all
+    calls.clear()
+    dp1 = MatrixPsiDO.from_scalars({1: 1, 0: 1})
+    prod = dp1 ** 12
+    assert calls == []
+    assert prod == MatrixPsiDO.from_scalars({k: comb(12, k)
+                                             for k in range(13)})
+    # a windowed coefficient still has every derivative taken
+    calls.clear()
+    MatrixPsiDO.d(2) * MatrixPsiDO.from_xseries(XSeries([1], 3))
+    assert sorted(calls) == [1, 2]
+
+
 def test_binom_negative():
     assert binom(-1, 0) == 1
     assert binom(-1, 1) == -1
