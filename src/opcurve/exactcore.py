@@ -75,15 +75,6 @@ def as_fraction(a) -> Fraction:
     raise DomainError(f"not an exact rational: {a!r}")
 
 
-def _common_den(coeffs) -> int:
-    """Least common multiple of the coefficient denominators."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        den = den * d // gcd(den, d)
-    return den
-
-
 def min_prec(entries):
     """Smallest precision among series entries, None when all are exact."""
     precs = [e.prec for e in entries if e.prec is not None]
@@ -777,7 +768,7 @@ def _strip_row(row):
 def _integer_row(row):
     """The row times the least common multiple of its denominators."""
     fr = [as_fraction(e) for e in row]
-    den = _common_den(fr)
+    den = lcm(*[e.denominator for e in fr])
     return [e.numerator * (den // e.denominator) for e in fr]
 
 
@@ -880,7 +871,7 @@ def solve_system(rows, rhs_rows):
     # each solution column as integer numerators over one denominator
     for i in range(len(aug[0]) - ncols):
         col = [row[i] for row in sol]
-        den = _common_den(col)
+        den = lcm(*[x.denominator for x in col])
         nums = [x.numerator * (den // x.denominator) for x in col]
         for row in aug:
             if (sum(a * x for a, x in zip(row, nums) if a)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf
+from math import inf
 
 from .exactcore import (
     DEFAULT_DEPTH,
@@ -296,31 +296,19 @@ class MatrixPsiDO:
     def to_laurent(self) -> Matrix:
         """Right-normalize, evaluate coefficients at x = 0, map D^m to z^-m.
 
-        Uses a D^m = sum_j (-1)^j binom(m, j) D^(m-j) a^(j), so the right
-        coefficient picked up at z^(j-m) from a tracked term a(x) D^m is
-        (-1)^j binom(m, j) j! [x^j]a.  Entry windows record where the
-        operator's untracked tail or exhausted x-precision stops the
-        guarantee.
+        Column l is the module action on the unit column e_l, with D read
+        as z^-1 and x as z^2 d/dz: x^j z^-m = (-1)^j binom(m, j) j!
+        z^(j-m), the right coefficient that a D^m = sum_j (-1)^j
+        binom(m, j) D^(m-j) a^(j) picks up at z^(j-m) from [x^j]a.  The
+        entry windows are sato.module_action's: where the operator's
+        untracked tail or an exhausted x-precision stops the guarantee.
         """
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for l in range(n):
-                prec = None if self.lo is None else -self.lo
-                vals: dict[int, Fraction] = {}
-                for m, mat in sorted(self.terms.items()):
-                    s = mat.rows[i][l]
-                    if s.prec is not None:
-                        cap = -m + s.prec - 1
-                        prec = cap if prec is None else min(prec, cap)
-                    for j, c in s.items():
-                        e = j - m
-                        vals[e] = (vals.get(e, Fraction(0))
-                                  + (-1) ** j * binom(m, j) * factorial(j) * c)
-                row.append(ZLaurent(vals, prec))
-            out.append(row)
-        return Matrix(out)
+        # sato imports this module, so the import waits for the call
+        from .sato import basis_column, module_action
+
+        cols = [module_action(self, basis_column(l, self.n))
+                for l in range(self.n)]
+        return Matrix(zip(*cols))
 
     # -- comparison and display ---------------------------------------
 

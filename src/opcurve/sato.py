@@ -317,9 +317,9 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     certifies the frame off the big cell.
 
     Each column w gives one equation per z-exponent e >= 1 in its window.
-    The unknown coefficient of x^l D^-m meets x^l z^m acting on w, whose
-    coefficient at z^e is w_(e-m-l) q (q+1) ... (q+l-1) with q = e - l;
-    that window lies above w's own, so w's window bounds the rows.  The
+    The unknown coefficient of x^l D^-m at component p meets x^l z^m
+    acting on w_p, one exactcore.xd_action call cut at w's window; that
+    action only raises exponents, so w's window bounds the rows.  The
     overdetermined system goes to exactcore.solve_system, and the rank it
     reports tells a unique solution from an underdetermined shape.
     """
@@ -339,6 +339,7 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
 
     # the lhs rows depend only on the action data, so all n component
     # rows of the dressing share one solve with n right-hand sides
+    xs = [XSeries([0] * l + [1]) for l in range(nx)]
     rows = []
     rhs_rows = []
     for w in cols:
@@ -347,18 +348,12 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
                if k >= 1 and (hi is None or k <= hi)}
         for m in range(1, depth + 1):
             for p, wp in enumerate(w):
-                # x^l acting on z^m w_p: c q (q+1) ... (q+l-1) at z^(q+l)
-                for q, c in (wp * ZLaurent.monomial(m)).items():
-                    val = c
-                    for l in range(nx):
-                        e = q + l
-                        if (hi is not None and e > hi) or not val:
-                            break
+                for l, x in enumerate(xs):
+                    for e, c in xd_action([(x, -m, wp)], hi).items():
                         if e >= 1:
                             if e not in eqs:
                                 eqs[e] = [0] * nun
-                            eqs[e][unknown(m, l, p)] = val
-                        val *= e
+                            eqs[e][unknown(m, l, p)] = c
         for e in sorted(eqs):
             rows.append(eqs[e])
             rhs_rows.append([-wp.coeff(e) for wp in w])

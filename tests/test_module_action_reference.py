@@ -1,5 +1,6 @@
-"""sato.module_action against the Fraction implementation it replaced, and
-the window soundness of module_action and point_from_dressing.
+"""sato.module_action and MatrixPsiDO.to_laurent against the Fraction
+implementations they replaced, and the window soundness of module_action,
+to_laurent, compose and point_from_dressing.
 
 ref_module_action below is the former module_action, kept as an oracle:
 each part s(x) D^m w went through _scalar_action, a dict of Fraction
@@ -8,7 +9,10 @@ at the op.lo cap.  On seeded operators of size 1 and 2 with degrees of
 both signs, exact, windowed, exact-zero and windowed-zero coefficients,
 exact, windowed and windowed-zero column entries, and op.lo both None and
 set, the integer kernel must agree with it on repr, prec and == of every
-output entry.
+output entry.  ref_to_laurent is the former to_laurent, which summed
+(-1)^j binom(m, j) j! [x^j]a over Fractions under its own window rule;
+to_laurent, now the module action on the unit columns, must agree with it
+on repr and prec of every entry.
 
 The soundness tests run each operation on inputs cut to a window and
 again on two completions of those inputs known much deeper, and require
@@ -21,7 +25,7 @@ suite properties <operation>.max_shortfall and <operation>.tight_share
 
 import random
 from fractions import Fraction
-from math import inf
+from math import factorial, inf
 
 from opcurve.exactcore import (
     Matrix,
@@ -29,7 +33,7 @@ from opcurve.exactcore import (
     XSeries,
     ZLaurent,
 )
-from opcurve.psidocalc import MatrixPsiDO
+from opcurve.psidocalc import MatrixPsiDO, binom, compose
 from opcurve.sato import module_action, point_from_dressing
 
 
@@ -73,6 +77,28 @@ def ref_module_action(op, vec):
             cap = int(lb) - op.lo
             out = [w.truncate(cap) for w in out]
     return tuple(out)
+
+
+def ref_to_laurent(op):
+    n = op.n
+    out = []
+    for i in range(n):
+        row = []
+        for l in range(n):
+            prec = None if op.lo is None else -op.lo
+            vals = {}
+            for m, mat in sorted(op.terms.items()):
+                s = mat.rows[i][l]
+                if s.prec is not None:
+                    cap = -m + s.prec - 1
+                    prec = cap if prec is None else min(prec, cap)
+                for j, c in s.items():
+                    e = j - m
+                    vals[e] = (vals.get(e, Fraction(0))
+                               + (-1) ** j * binom(m, j) * factorial(j) * c)
+            row.append(ZLaurent(vals, prec))
+        out.append(row)
+    return Matrix(out)
 
 
 def _rational(rng):
@@ -137,6 +163,28 @@ def test_module_action_matches_fraction_reference():
     assert {("s", k, pos) for k in S_KINDS for pos in (True, False)} <= seen
     assert {("w", k) for k in W_KINDS} <= seen
     assert {("n", n, e) for n in (1, 2) for e in (True, False)} <= seen
+
+
+def test_to_laurent_matches_fraction_reference():
+    rng = random.Random("to-laurent-reference")
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 3)
+        degs = rng.sample(range(-6, 6), rng.randint(1, 3))
+        kinds = {m: [[rng.choice(S_KINDS) for _ in range(n)]
+                     for _ in range(n)] for m in degs}
+        terms = {m: Matrix([[_s(rng, k) for k in row] for row in ks])
+                 for m, ks in kinds.items()}
+        seen.update(k for ks in kinds.values() for row in ks for k in row)
+        lo = None if rng.random() < 0.5 else min(degs) - rng.randint(0, 2)
+        seen.add(("n", n, lo is None))
+        op = MatrixPsiDO(n, terms, lo)
+        got, want = op.to_laurent(), ref_to_laurent(op)
+        for a, b in zip(got.rows, want.rows):
+            assert [repr(e) for e in a] == [repr(e) for e in b]
+            assert [e.prec for e in a] == [e.prec for e in b]
+    assert set(S_KINDS) <= seen
+    assert {("n", n, e) for n in (1, 2, 3) for e in (True, False)} <= seen
 
 
 # -- window soundness --------------------------------------------------
@@ -235,6 +283,28 @@ def _tail_matrix(rng, n):
                    for _ in range(n)])
 
 
+def _cut_operator(rng, n, degs):
+    """An operator on degrees degs known deep, its cut to shallow windows
+    (blind below its lo, when it has one), and a second completion of
+    that cut: cut, deep, other."""
+    lo = None if rng.random() < 0.5 else rng.randint(min(degs), max(degs))
+    deep, cut, other = {}, {}, {}
+    for m in degs:
+        trip = [[_cut_x(rng, _deep_x(rng)) for _ in range(n)]
+                for _ in range(n)]
+        deep[m], cut[m], other[m] = (
+            Matrix([[e[i] for e in row] for row in trip])
+            for i in range(3))
+    if lo is not None:
+        # the cut operator is blind below lo, so the second completion
+        # puts other terms there
+        other = {m: mat for m, mat in other.items() if m >= lo}
+        other[lo - 1] = _tail_matrix(rng, n)
+        other[lo - 2] = _tail_matrix(rng, n)
+    return (MatrixPsiDO(n, cut, lo), MatrixPsiDO(n, deep),
+            MatrixPsiDO(n, other))
+
+
 def test_module_action_claims_only_what_inputs_justify(
         record_testsuite_property):
     rng = random.Random("sound-module-action")
@@ -242,29 +312,80 @@ def test_module_action_claims_only_what_inputs_justify(
     for _ in range(300):
         n = rng.choice([1, 2])
         degs = rng.sample(range(-3, 4), rng.randint(1, 3))
-        lo = None if rng.random() < 0.5 else rng.randint(min(degs), max(degs))
-        deep, cut, other = {}, {}, {}
-        for m in degs:
-            trip = [[_cut_x(rng, _deep_x(rng)) for _ in range(n)]
-                    for _ in range(n)]
-            deep[m], cut[m], other[m] = (
-                Matrix([[e[i] for e in row] for row in trip])
-                for i in range(3))
-        if lo is not None:
-            # the cut operator is blind below lo, so the second
-            # completion puts other terms there
-            other = {m: mat for m, mat in other.items() if m >= lo}
-            other[lo - 1] = _tail_matrix(rng, n)
-            other[lo - 2] = _tail_matrix(rng, n)
+        cut, deep, other = _cut_operator(rng, n, degs)
         vec = [_cut_z(rng, _deep_z(rng)) for _ in range(n)]
-        shallow = module_action(MatrixPsiDO(n, cut, lo),
-                                tuple(e[1] for e in vec))
-        deep_a = module_action(MatrixPsiDO(n, deep), tuple(e[0] for e in vec))
-        deep_b = module_action(MatrixPsiDO(n, other),
-                               tuple(e[2] for e in vec))
+        shallow = module_action(cut, tuple(e[1] for e in vec))
+        deep_a = module_action(deep, tuple(e[0] for e in vec))
+        deep_b = module_action(other, tuple(e[2] for e in vec))
         for s, a, b in zip(shallow, deep_a, deep_b):
             _compare(s, a, b, shortfalls)
     _record(record_testsuite_property, "module_action", shortfalls)
+
+
+def test_to_laurent_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-to-laurent")
+    shortfalls = []
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        cut, deep, other = _cut_operator(
+            rng, n, rng.sample(range(-6, 6), rng.randint(1, 4)))
+        for s, a, b in zip(*(op.to_laurent().rows
+                             for op in (cut, deep, other))):
+            for entries in zip(s, a, b):
+                _compare(*entries, shortfalls)
+    _record(record_testsuite_property, "to_laurent", shortfalls)
+
+
+def _x_claims_hold(shallow, deep):
+    """Every x-coefficient shallow claims agrees with deep."""
+    if shallow.exact:
+        assert deep.exact
+        assert shallow == deep
+        return
+    assert deep.known(shallow.prec - 1)
+    for k in range(shallow.prec):
+        assert shallow.coeff(k) == deep.coeff(k), k
+
+
+def _x_determined(a, b):
+    """How many leading x-coefficients two results agree on, within both
+    windows; inf when they agree exactly."""
+    if a.exact and b.exact and a == b:
+        return inf
+    tops = [s.prec for s in (a, b) if s.prec is not None]
+    hi = min(tops) if tops else max(a.degree_bound(), b.degree_bound()) + 1
+    return next((k for k in range(hi) if a.coeff(k) != b.coeff(k)), hi)
+
+
+def test_compose_claims_only_what_inputs_justify(record_testsuite_property):
+    rng = random.Random("sound-compose")
+    shortfalls = []
+    claimed = 0
+    for _ in range(60):
+        n = rng.choice([1, 2])
+        p_cut, p_deep, p_other = _cut_operator(
+            rng, n, rng.sample(range(-2, 3), rng.randint(1, 2)))
+        q_cut, q_deep, q_other = _cut_operator(
+            rng, n, rng.sample(range(-2, 3), rng.randint(1, 2)))
+        shallow = compose(p_cut, q_cut)
+        deep_a = compose(p_deep, q_deep)
+        deep_b = compose(p_other, q_other)
+        # every degree the shallow product tracks, stored or exactly zero
+        degs = set(shallow.terms) | set(deep_a.terms) | set(deep_b.terms)
+        for m in sorted(degs):
+            if shallow.lo is not None and m < shallow.lo:
+                continue
+            claimed += 1
+            for s, a, b in zip(*(op.coeff(m).rows
+                                 for op in (shallow, deep_a, deep_b))):
+                for es, ea, eb in zip(s, a, b):
+                    _x_claims_hold(es, ea)
+                    _x_claims_hold(es, eb)
+                    if es.prec is not None:
+                        shortfalls.append(_x_determined(ea, eb) - es.prec)
+    assert claimed >= 60
+    _record(record_testsuite_property, "compose", shortfalls)
 
 
 def _dressing(rng, n, depth, nx):

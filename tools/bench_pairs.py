@@ -11,9 +11,15 @@ k is even, so a slow drift of the machine falls on both sides alike.  The
 final JSON line of every run is kept under "runs".  "summary" gives, for
 each end-to-end metric of BENCHMARK.json, both sides' median and
 quartiles, the change of the median relative to the parent, the pairs the
-change won (ties count for neither), and "gain_rule_holds": the change
-won at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range.
+change won (ties count for neither), and three verdicts:
+"gain_rule_holds": the change won at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's
+interquartile range; "within_bound": the change's median is no worse
+than the parent's by more than the metric's bound in BENCHMARK.json (a
+fraction of the parent's median); "unresolved": the parent's
+interquartile range exceeds that bound times its median, so the runs
+spread too widely to tell, and not every run of the change beats every
+run of the parent.
 
 Standard library only.
 """
@@ -53,15 +59,20 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(runs, better):
-    """Per-metric medians, quartiles, wins and the gain rule."""
+def summarize(runs, metrics):
+    """Per-metric medians, quartiles, wins and the three verdicts.
+
+    metrics maps an end-to-end metric name to its BENCHMARK.json entry,
+    which gives "better" and "bound".
+    """
     summary = {}
     names = sorted(set(runs[0]["parent"]["metrics"])
                    & set(runs[0]["pr"]["metrics"]))
     for name in names:
-        sense = better.get(name.split(".", 1)[-1])
-        if sense is None:
+        spec = metrics.get(name.split(".", 1)[-1])
+        if spec is None:
             continue
+        sense, bound = spec["better"], spec["bound"]
         par = [r["parent"]["metrics"][name]["value"] for r in runs]
         pr = [r["pr"]["metrics"][name]["value"] for r in runs]
         sign = 1 if sense == "higher" else -1
@@ -82,6 +93,10 @@ def summarize(runs, better):
             "pairs": len(runs),
             "gain_rule_holds": (wins >= math.ceil(0.9 * len(runs))
                                 and sign * (cm - pm) > p3 - p1),
+            "within_bound": sign * (pm - cm) <= bound * abs(pm),
+            "unresolved": (p3 - p1 > bound * abs(pm)
+                           and min(sign * b for b in pr)
+                           <= max(sign * a for a in par)),
         }
     return summary
 
@@ -106,7 +121,7 @@ def main(argv=None):
         if not (checkout / "bench" / "run.py").is_file():
             ap.error(f"{checkout} has no bench/run.py")
     spec = json.loads((args.pr / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = []
     for k in range(1, args.pairs + 1):
@@ -129,14 +144,16 @@ def main(argv=None):
                    "bench/run.py"),
         "machine": (f"Python {platform.python_version()}, "
                     f"{os.cpu_count()} CPU, {platform.system()}"),
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, metrics),
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for name, s in out["summary"].items():
         print(f"{name:36s} parent {s['parent_median']:.6g}  "
               f"pr {s['pr_median']:.6g}  wins {s['pr_wins']}/{s['pairs']}"
-              f"  rule {'holds' if s['gain_rule_holds'] else 'fails'}")
+              f"  gain {'holds' if s['gain_rule_holds'] else 'fails'}"
+              f"  {'within' if s['within_bound'] else 'BEYOND'} bound"
+              f"{'  unresolved' if s['unresolved'] else ''}")
     return 0 if all(r[side]["correct"] for r in runs
                     for side in ("parent", "pr")) else 1
 
