@@ -317,8 +317,8 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     certifies the frame off the big cell.
 
     Each column w gives one equation per z-exponent e >= 1 in its window.
-    The unknown coefficient of x^l D^-m at component p meets x^l z^m
-    acting on w_p, one exactcore.xd_action call cut at w's window; that
+    The unknown coefficient of x^l D^-m at component p meets x^l acting
+    on z^m w_p, one exactcore.xd_action call cut at w's window; that
     action only raises exponents, so w's window bounds the rows.  The
     overdetermined system goes to exactcore.solve_system, and the rank it
     reports tells a unique solution from an underdetermined shape.
@@ -348,8 +348,9 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
                if k >= 1 and (hi is None or k <= hi)}
         for m in range(1, depth + 1):
             for p, wp in enumerate(w):
+                zw = wp * ZLaurent.monomial(m)  # D^-m w_p = z^m w_p
                 for l, x in enumerate(xs):
-                    for e, c in xd_action([(x, -m, wp)], hi).items():
+                    for e, c in xd_action([(x, 0, zw)], hi).items():
                         if e >= 1:
                             if e not in eqs:
                                 eqs[e] = [0] * nun
