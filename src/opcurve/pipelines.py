@@ -12,7 +12,8 @@ The backward dressing is psidocalc.dress_to_constant, re-exported here.
 Its normalization fixes every integration constant to zero, so
 recursion results are canonical; a monic operator whose subleading
 coefficient does not vanish has no dressing of this normalized shape
-and is rejected rather than silently renormalized.
+and is rejected rather than silently renormalized.  The constants C_i
+are read off P_i o S = S o C_i by psidocalc.divide_dressing, without S^-1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .exactcore import (
 from .psidocalc import (
     MatrixPsiDO,
     commutator,
+    divide_dressing,
     dress_to_constant,
     invert_dressing,
     order_and_monicity,
@@ -153,15 +155,14 @@ class BackwardResult:
     fredholm_reason then holds the PrecisionError message that says why.
     """
 
-    __slots__ = ("dressing", "inverse", "constants", "spec", "semigroup",
+    __slots__ = ("dressing", "constants", "spec", "semigroup",
                  "condition", "charpoly", "charpoly_str", "point",
                  "fredholm", "fredholm_reason", "monic_factors")
 
-    def __init__(self, dressing, inverse, constants, spec, semigroup,
-                 condition, charpoly, charpoly_str, point, fredholm,
-                 fredholm_reason, monic_factors):
+    def __init__(self, dressing, constants, spec, semigroup, condition,
+                 charpoly, charpoly_str, point, fredholm, fredholm_reason,
+                 monic_factors):
         self.dressing = dressing
-        self.inverse = inverse
         self.constants = constants
         self.spec = spec
         self.semigroup = semigroup
@@ -210,7 +211,9 @@ def _find_monic(ops):
 
 def operators_to_geometric(ops, depth=None) -> BackwardResult:
     """Recover constant-coefficient data and curve reports from a
-    commuting family of differential operators."""
+    commuting family of differential operators: with S dressing a monic
+    member (or product of two) to D^r, each C_i solves P_i o S = S o C_i
+    and must be constant in x."""
     ops = list(ops)
     if not ops:
         raise DomainError("need at least one operator")
@@ -226,10 +229,9 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
             raise DomainError(f"operator {i} is not differential")
     monic, monic_factors = _find_monic(ops)
     s = dress_to_constant(monic, depth=depth)
-    t = invert_dressing(s, depth=depth)
     constants = []
     for i, p in enumerate(ops):
-        c = t * p * s
+        c = divide_dressing(s, p * s, depth)
         if not c.is_constant_coefficient():
             raise DomainError(f"operator {i} does not conjugate to "
                               "constant coefficients under the dressing")
@@ -258,8 +260,8 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
         fred = point.fredholm_report()
     except PrecisionError as exc:
         reason = str(exc)
-    return BackwardResult(s, t, constants, spec, semi, cond, charpoly,
-                          charstr, point, fred, reason, monic_factors)
+    return BackwardResult(s, constants, spec, semi, cond, charpoly, charstr,
+                          point, fred, reason, monic_factors)
 
 
 def round_trip(point: GrassPoint, spec: AlgebraSpec, depth=None, nx=None,

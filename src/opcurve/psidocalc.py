@@ -14,16 +14,18 @@ One private kernel evaluates it: _leibniz_coeff sums the rule into the
 coefficient of a single degree of a product, reading each derivative in
 closed form from XSeries.derivative, and _end says where the derivatives
 of a coefficient matrix stop, exactly or at its x-precision.  compose(),
-invert_dressing(), dress_to_constant() and rth_root() are its only
+divide_dressing(), dress_to_constant() and rth_root() are its only
 callers; the last three solve for one new coefficient per degree from the
-ones before it.  In compose() the sum is truncated by two effects:
+ones before it (divide_dressing() reads S^-1 o A off S o X = A, and
+invert_dressing() is its case A = I).  In compose() the sum is truncated
+by two effects:
 
 * degrees below the derived window floor are dropped as untracked, and
 * a term whose x-precision is exhausted poisons every lower degree.
 
 The degree floor of a product is max(lo(P) + order(Q), order(P) + lo(Q)),
 because the untracked tail of one factor meets the top term of the other
-there; compose() is the single place this rule lives.
+there; divide_dressing() keeps both rules for S^-1 o A.
 
 An operator with lo=None is exactly known: all degrees below its lowest
 stored term are exactly zero, which is what makes constant-coefficient
@@ -225,13 +227,6 @@ class MatrixPsiDO:
                         return False
         return True
 
-    # -- window management --------------------------------------------
-
-    def truncate_depth(self, lo: int) -> "MatrixPsiDO":
-        new_lo = lo if self.lo is None else max(lo, self.lo)
-        return MatrixPsiDO(self.n, {m: mat for m, mat in self.terms.items()
-                                    if m >= new_lo}, new_lo)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other):
@@ -414,43 +409,70 @@ def is_dressing(s: MatrixPsiDO) -> bool:
     return s.coeff(0) == Matrix.identity(s.n, XSeries.one())
 
 
-def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
-    """Two-sided inverse of S = I + (negative degrees), degree by degree.
+def divide_dressing(s: MatrixPsiDO, a: MatrixPsiDO, depth: int) -> MatrixPsiDO:
+    """X = S^-1 o A for a dressing S, with S^-1 tracked to degree -depth.
 
-    Writing T = I + sum t_d D^-d, the coefficient of D^-d in S o T gives
-
-        t_d = - sum_{m>=1, j>=0, m+j<=d} binom(-m, j) s_m t_{d-m-j}^(j)
-
-    which determines each t_d from earlier ones.  The result is tracked
-    down to degree -depth, further limited by the window of S itself.
+    Comparing D^deg in S o X = A gives s_0 x_deg = a_deg minus the Leibniz
+    sum of the s_m x_k^(j) with m < 0, which draws only on x_k with
+    k > deg; so each x_deg follows from the ones above it, with s_0^-1
+    the identity cut at the window of s_0.  A needed derivative beyond
+    x-precision leaves that degree and every lower one unknown, as in
+    compose().
     """
     if not is_dressing(s):
         raise DomainError("not a dressing operator: expected I + lower-degree terms")
+    s._check(a)
     n = s.n
-    if depth is None:
-        depth = DEFAULT_DEPTH if s.lo is None else -s.lo
-    lo = -depth if s.lo is None else max(-depth, s.lo)
     ident = Matrix.identity(n, XSeries.one())
-    svals = {m: mat for m, mat in s.terms.items() if m < 0}
-    # s_0 is the identity only on its window, and so is t_0 = s_0^-1;
-    # comparing D^-d in S o T gives s_0 t_d = -(the Leibniz sum)
     p = min_prec(e for row in s.coeff(0).rows for e in row)
     t0 = ident if p is None else ident.map(lambda e: e.truncate(p))
-
-    terms = {0: t0}
-    for d in range(1, -lo + 1):
-        try:
-            acc = _leibniz_coeff(n, svals, terms, -d)
-        except PrecisionError:
-            raise PrecisionError(
-                f"x-precision exhausted inverting at depth {d}") from None
-        terms[-d] = -acc if p is None else -(t0 * acc)
-    # the true inverse has terms at every depth, so it is only exact when
-    # S is exactly the identity; computed t_d that all vanish do not show
-    # that (depth 0 computes none, and 1 + D^-2 has t_1 = 0)
+    svals = {m: mat for m, mat in s.terms.items() if m < 0}
     if s.lo is None and not svals:
-        return MatrixPsiDO(n, terms)
-    return MatrixPsiDO(n, terms, lo)
+        # exact in degree when A is; any other S^-1 has terms at every
+        # depth, even where the computed ones vanish (1 + D^-2 has t_-1 = 0)
+        return MatrixPsiDO(n, {m: t0 * mat for m, mat in a.terms.items()},
+                           a.lo)
+    top = max(a.terms) if a.terms else (None if a.lo is None else a.lo - 1)
+    if top is None:
+        return MatrixPsiDO(n, {})
+    # X = T o A for T = S^-1, whose degrees run from 0 down to
+    # lo(T) = max(-depth, lo(S)): T is solved to degree -depth, and a term
+    # s_m that S does not track (m < lo(S)) first enters T at degree m.
+    # x_deg draws on the t_k a_l with k + l >= deg, down to t_(deg-top(A))
+    # and to t_0 a_deg, so it is known while deg >= lo(T) + top(A) and
+    # deg >= lo(A): compose's floor max(lo(T) + top(A), top(T) + lo(A))
+    # for T o A.
+    floor = top - depth
+    if s.lo is not None:
+        floor = max(floor, s.lo + top)
+    if a.lo is not None:
+        floor = max(floor, a.lo)
+    terms = {}
+    for deg in range(top, floor - 1, -1):
+        try:
+            acc = _leibniz_coeff(n, svals, terms, deg)
+        except PrecisionError:
+            floor = deg + 1
+            break
+        b = a.terms.get(deg)
+        rhs = -acc if b is None else b - acc
+        terms[deg] = rhs if p is None else t0 * rhs
+    return MatrixPsiDO(n, terms, floor)
+
+
+def invert_dressing(s: MatrixPsiDO, depth=None) -> MatrixPsiDO:
+    """Two-sided inverse of S = I + (negative degrees), divide_dressing
+    with A = I, tracked down to degree -depth and the window of S.  An
+    x-precision that runs out above that floor is an error here.
+    """
+    if depth is None:
+        depth = DEFAULT_DEPTH if s.lo is None else -s.lo
+    t = divide_dressing(s, MatrixPsiDO.identity(s.n), depth)
+    lo = -depth if s.lo is None else max(-depth, s.lo)
+    if t.lo is not None and t.lo > lo:
+        raise PrecisionError(
+            f"x-precision exhausted inverting at depth {1 - t.lo}")
+    return t
 
 
 def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:

@@ -13,12 +13,21 @@ METRICS = {"ops_per_s": {"better": "higher", "bound": 0.25},
            "latency_p50_s": {"better": "lower", "bound": 0.25}}
 
 
-def _runs(parent, pr, name):
+def _side(value, unit, name, attempted, failed):
+    return {"attempted": attempted, "failed": failed,
+            "metrics": {f"w.{name}": {"value": value, "unit": unit}}}
+
+
+def _runs(parent, pr, name, counts=None):
+    """Made-up pairs; counts gives each pair's (attempted, failed) for the
+    parent and for the change, by default 100 operations and no
+    failure."""
     unit = {"ops_per_s": "1/s", "latency_p50_s": "s"}[name]
+    counts = counts or [((100, 0), (100, 0))] * len(parent)
     return [{"pair": k + 1,
-             "parent": {"metrics": {f"w.{name}": {"value": a, "unit": unit}}},
-             "pr": {"metrics": {f"w.{name}": {"value": b, "unit": unit}}}}
-            for k, (a, b) in enumerate(zip(parent, pr))]
+             "parent": _side(a, unit, name, *cp),
+             "pr": _side(b, unit, name, *cc)}
+            for k, (a, b, (cp, cc)) in enumerate(zip(parent, pr, counts))]
 
 
 def test_gain_rule_needs_nine_tenths_of_wins_and_a_gap_above_the_iqr():
@@ -91,3 +100,35 @@ def test_unresolved_when_the_parent_spreads_beyond_the_bound():
     s = _summary([v / 10 for v in wide], [v / 10 - 0.05 for v in wide],
                  "latency_p50_s")
     assert s["unresolved"]
+
+
+def _failures(counts):
+    values = [10] * len(counts)
+    return bench_pairs.failure_totals(_runs(values, values, "ops_per_s",
+                                            counts))
+
+
+def test_failure_share_sums_each_side_over_its_runs():
+    counts = [((100, 0), (120, 0)), ((80, 2), (90, 0))]
+    f = _failures(counts)
+    runs = _runs([10, 11], [10, 11], "ops_per_s", counts)
+    assert bench_pairs.summarize(runs, METRICS)["failures"] == f
+    assert (f["parent_attempted"], f["parent_failed"]) == (180, 2)
+    assert (f["pr_attempted"], f["pr_failed"]) == (210, 0)
+    assert f["parent_share"] == 2 / 180 and f["pr_share"] == 0
+    assert not f["failure_share_rose"]
+    # no failures on either side is no rise
+    assert not _failures([((100, 0), (50, 0))] * 3)["failure_share_rose"]
+
+
+def test_failure_share_rose_compares_shares_not_counts():
+    # one failure in 50 is a larger share than two in 200
+    assert _failures([((200, 2), (50, 1))])["failure_share_rose"]
+    # more failures over more operations at the same share is no rise
+    assert not _failures([((100, 1), (300, 3))])["failure_share_rose"]
+    # the change failing where the parent never did
+    f = _failures([((100, 0), (100, 0)), ((100, 0), (90, 1))])
+    assert f["failure_share_rose"] and f["pr_share"] == 1 / 190
+    # a side that attempted nothing has no share and cannot rise
+    f = _failures([((100, 1), (0, 0))])
+    assert f["pr_share"] is None and not f["failure_share_rose"]

@@ -386,6 +386,28 @@ def test_pipeline_backward_names_product_factors(capsys):
     assert json.loads("\n".join(out))["monic_index"] == 0
 
 
+BACKWARD_GOLDEN = {
+    "backward_cusp_depth6": ("--depth", "6", "pipeline", "backward",
+                             CUSP_P, CUSP_Q),
+    "backward_cusp_xprec24_depth12": ("--x-prec", "24", "--depth", "12",
+                                      "pipeline", "backward", CUSP_P,
+                                      CUSP_Q),
+    "backward_product_factor": ("pipeline", "backward", "[[0,1],[Dx,0]]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_GOLDEN))
+@pytest.mark.parametrize("as_json", [False, True])
+def test_pipeline_backward_matches_golden_bytes(capsys, name, as_json):
+    # recorded when the constants were still conjugated as T o P o S
+    argv = list(BACKWARD_GOLDEN[name])
+    if as_json:
+        argv.insert(0, "--json")
+    expected = (GOLDEN / (name + (".json" if as_json else ".txt"))).read_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_pipeline_backward_depth_zero(capsys):
     # at depth 0 the dressing is the identity and the frame is the
     # standard span, whose counts are certified

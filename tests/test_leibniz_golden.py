@@ -82,6 +82,7 @@ def _cases():
                     lo=-3)
     windowed_b = op({2: 1, 0: xs(1, 0, 2), -1: xs(0, 5)}, lo=-2)
     short = op({0: xs(1, 1, 1, prec=3)})
+    short_windowed = op({0: xs(1, 1, 1, prec=3)}, lo=-1)
     stored_zero = op({2: 1, 1: xs(prec=5), 0: xs(3, 1, 4, prec=7),
                       -1: xs(prec=4)}, lo=-2)
     dressing_exact = op({0: 1, -1: xs(0, 1), -2: 1})
@@ -107,7 +108,7 @@ def _cases():
         "compose.poison_negative": lambda: compose(op({-1: 1}), short),
         "compose.poison_positive": lambda: compose(op({3: 1}), short),
         "compose.poison_windowed":
-            lambda: compose(windowed_a, short.truncate_depth(-1)),
+            lambda: compose(windowed_a, short_windowed),
         "compose.mixed_2x2": lambda: compose(mixed_2x2(), mixed_2x2()),
         "compose.mixed_2x2_windowed":
             lambda: compose(mixed_2x2(lo=-2), mixed_2x2()),

@@ -1,6 +1,6 @@
 """sato.module_action and MatrixPsiDO.to_laurent against the Fraction
 implementations they replaced, and the window soundness of module_action,
-to_laurent, compose and point_from_dressing.
+to_laurent, compose, divide_dressing and point_from_dressing.
 
 ref_module_action below is the former module_action, kept as an oracle:
 each part s(x) D^m w went through _scalar_action, a dict of Fraction
@@ -33,7 +33,7 @@ from opcurve.exactcore import (
     XSeries,
     ZLaurent,
 )
-from opcurve.psidocalc import MatrixPsiDO, binom, compose
+from opcurve.psidocalc import MatrixPsiDO, binom, compose, divide_dressing
 from opcurve.sato import module_action, point_from_dressing
 
 
@@ -447,4 +447,88 @@ def test_point_from_dressing_claims_only_what_inputs_justify(
         checked += 1
     assert checked >= 25
     _record(record_testsuite_property, "point_from_dressing", shortfalls)
+
+
+
+def _identity_cut(rng, n):
+    """s_0 known deep, its cut to the identity on windows of 1 to 5 x-terms,
+    and a second completion of that cut: deep, cut, other.  Half the time
+    s_0 is exactly I."""
+    ident = Matrix.identity(n, XSeries.one())
+    if rng.random() < 0.5:
+        return ident, ident, ident
+    windows = [[rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
+
+    def completion():
+        return Matrix([[XSeries([int(i == j)] + [0] * (w - 1)
+                                + _fresh(rng, DEEP - w), DEEP)
+                        for j, w in enumerate(row)]
+                       for i, row in enumerate(windows)])
+
+    cut = Matrix([[XSeries([int(i == j)], w) for j, w in enumerate(row)]
+                  for i, row in enumerate(windows)])
+    return completion(), cut, completion()
+
+
+def _series_inverse(m):
+    """m^-1 to x^DEEP for an n x n matrix m with m(0) = I, n <= 2."""
+    if m.n == 1:
+        return Matrix([[m.entry(0, 0).inverse(DEEP)]])
+    (a, b), (c, d) = m.rows
+    idet = (a * d - b * c).inverse(DEEP)
+    return Matrix([[d * idet, -b * idet], [-c * idet, a * idet]])
+
+
+def _divided(s0, s_rest, a, depth):
+    """X with S o X = A for S = s0 + s_rest: the deep reference divides
+    u S, a dressing, into u A, with u = s0^-1."""
+    u = MatrixPsiDO(s0.n, {0: _series_inverse(s0)})
+    s = MatrixPsiDO(s0.n, {0: s0, **s_rest.terms})
+    return divide_dressing(u * s, u * a, depth)
+
+
+def _x_agree(shallow, deep):
+    """Every x-coefficient shallow claims agrees with deep, up to where
+    deep stops: unlike _x_claims_hold, an exact shallow entry may meet a
+    windowed deep one, since u = s_0^-1 is known only to x^DEEP."""
+    if shallow.prec is not None:
+        assert deep.known(shallow.prec - 1)
+    top = min(p for p in (shallow.prec, deep.prec, DEEP) if p is not None)
+    for k in range(top):
+        assert shallow.coeff(k) == deep.coeff(k), k
+
+
+def test_divide_dressing_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-divide-dressing")
+    shortfalls = []
+    claimed = 0
+    for _ in range(120):
+        n = rng.choice([1, 2])
+        s0_deep, s0_cut, s0_other = _identity_cut(rng, n)
+        s_cut, s_deep, s_other = _cut_operator(
+            rng, n, rng.sample(range(-3, 0), rng.randint(1, 2)))
+        a_cut, a_deep, a_other = _cut_operator(
+            rng, n, rng.sample(range(-2, 3), rng.randint(1, 2)))
+        depth = rng.randint(0, 4)
+        shallow = divide_dressing(
+            MatrixPsiDO(n, {0: s0_cut, **s_cut.terms}, s_cut.lo), a_cut,
+            depth)
+        deep_a = _divided(s0_deep, s_deep, a_deep, depth + 4)
+        deep_b = _divided(s0_other, s_other, a_other, depth + 4)
+        # every degree the shallow quotient tracks, stored or exactly zero
+        degs = set(shallow.terms) | set(deep_a.terms) | set(deep_b.terms)
+        for m in sorted(degs):
+            if shallow.lo is not None and m < shallow.lo:
+                continue
+            claimed += 1
+            for s, a, b in zip(*(op.coeff(m).rows
+                                 for op in (shallow, deep_a, deep_b))):
+                for es, ea, eb in zip(s, a, b):
+                    _x_agree(es, ea)
+                    _x_agree(es, eb)
+                    if es.prec is not None:
+                        shortfalls.append(_x_determined(ea, eb) - es.prec)
+    assert claimed >= 120
+    _record(record_testsuite_property, "divide_dressing", shortfalls)
 

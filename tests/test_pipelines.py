@@ -16,7 +16,7 @@ from opcurve.pipelines import (
     round_trip,
     verify_commutative,
 )
-from opcurve.psidocalc import MatrixPsiDO, compose
+from opcurve.psidocalc import MatrixPsiDO, compose, divide_dressing
 from opcurve.sato import GrassPoint, points_equal
 
 
@@ -135,6 +135,31 @@ def test_backward_rejects_noncommuting():
 def test_backward_rejects_integral_shape():
     with pytest.raises(DomainError):
         operators_to_geometric([MatrixPsiDO.d() + MatrixPsiDO.d(-1)])
+
+
+def test_backward_window_stops_where_x_precision_runs_out():
+    # x_0 = 3 + O(x^2) of S o X = 3 o S has no second derivative, so the
+    # solve stops above D^-3 instead of failing, and the constant keeps
+    # the window it certifies
+    p, _ = cusp_pair()
+    w = MatrixPsiDO.from_scalars({0: XSeries([3], 2)})
+    s = dress_to_constant(p, depth=4)
+    c = divide_dressing(s, w * s, 4)
+    assert (repr(c), c.lo) == ("MatrixPsiDO((3) + (0)*D^-1 + (0)*D^-2 + "
+                               "O(D^-3))", -2)
+    res = operators_to_geometric([p, w], depth=4)
+    assert repr(res.constants[1].entry(0, 0)) == "ZLaurent(3 + O(z^2))"
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_backward_rejects_a_member_that_does_not_conjugate(depth):
+    # (1 + O(x^3)) D + O(x^2) commutes with P within its windows, but
+    # S^-1 o it o S has a coefficient that is not constant in x
+    p, _ = cusp_pair()
+    w = MatrixPsiDO.from_scalars({1: XSeries([1], 3), 0: XSeries([0], 2)})
+    with pytest.raises(DomainError, match="^operator 1 does not conjugate "
+                       "to constant coefficients under the dressing$"):
+        operators_to_geometric([p, w], depth=depth)
 
 
 # -- forward pipeline and the round trip ----------------------------------

@@ -16,6 +16,7 @@ from opcurve.psidocalc import (
     binom,
     commutator,
     compose,
+    divide_dressing,
     invert_dressing,
     is_dressing,
     order_and_monicity,
@@ -485,7 +486,7 @@ def power_loop_root(p, r, depth):
     return MatrixPsiDO(n, root.terms, 1 - steps)
 
 
-def _root_outcome(fn):
+def _outcome(fn):
     try:
         out = fn()
     except (DomainError, PrecisionError) as err:
@@ -531,15 +532,62 @@ def test_root_matches_power_loop_sampled():
         n = rng.choice([1, 1, 2])
         p = _rand_monic(rng, r, n)
         depth = rng.randint(0, 7)
-        got = _root_outcome(lambda: rth_root(p, r, depth=depth))
-        want = _root_outcome(lambda: power_loop_root(p, r, depth))
+        got = _outcome(lambda: rth_root(p, r, depth=depth))
+        want = _outcome(lambda: power_loop_root(p, r, depth))
         assert got == want
         kinds.add((r, "exact" if got[1] is None else
                    "full" if got[1] == 1 - depth else "cut"))
         # and the same error text for an order that does not match
-        assert (_root_outcome(lambda: rth_root(p, r + 1, depth=depth))
-                == _root_outcome(lambda: power_loop_root(p, r + 1, depth)))
+        assert (_outcome(lambda: rth_root(p, r + 1, depth=depth))
+                == _outcome(lambda: power_loop_root(p, r + 1, depth)))
     # exact roots, full-depth roots and roots cut short by a window, for
     # each r; r = 4 is where R^r is squared in the loop but chained here
     assert kinds == {(r, kind) for r in (2, 3, 4)
                      for kind in ("exact", "full", "cut")}
+
+
+# -- dividing by a dressing -------------------------------------------
+
+def _windowed_identity(rng, n):
+    # s_0 = I on windows of 1 to 6 x-terms, or exactly I
+    if rng.random() < 0.5:
+        return Matrix.identity(n, XSeries.one()), False
+    return Matrix([[XSeries([int(i == j)], rng.randint(1, 6))
+                    for j in range(n)] for i in range(n)]), True
+
+
+def _rand_operator(rng, n, degs, windowed):
+    return {m: Matrix([[_rand_entry(rng, windowed) for _ in range(n)]
+                       for _ in range(n)]) for m in degs}
+
+
+def test_divide_dressing_matches_compose_with_the_inverse():
+    # S o X = A solved degree by degree must give S^-1 o A, with S^-1
+    # inverted at the same depth, on every entry, window and degree floor
+    rng = random.Random(1414)
+    seen = set()
+    compared = 0
+    for _ in range(1500):
+        n = rng.choice([1, 2])
+        windowed = rng.random() < 0.6
+        s0, s0_windowed = _windowed_identity(rng, n)
+        s_terms = _rand_operator(rng, n, rng.sample(range(-4, 0),
+                                                    rng.randint(0, 3)),
+                                 windowed)
+        s_terms[0] = s0
+        s = MatrixPsiDO(n, s_terms, rng.choice([None, -rng.randint(0, 5)]))
+        degs = rng.sample(range(-3, 4), rng.randint(0, 3))
+        a = MatrixPsiDO(n, _rand_operator(rng, n, degs, windowed),
+                        rng.choice([None, min(degs, default=0)
+                                    - rng.randint(0, 2)]))
+        depth = rng.randint(0, 6)
+        try:
+            t = invert_dressing(s, depth=depth)
+        except PrecisionError:
+            continue
+        assert (_outcome(lambda: divide_dressing(s, a, depth))
+                == _outcome(lambda: compose(t, a)))
+        compared += 1
+        seen.add((n, windowed, s0_windowed, s.lo is None, a.lo is None))
+    assert compared >= 1000
+    assert len(seen) == 32

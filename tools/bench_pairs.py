@@ -19,7 +19,10 @@ than the parent's by more than the metric's bound in BENCHMARK.json (a
 fraction of the parent's median); "unresolved": the parent's
 interquartile range exceeds that bound times its median, so the runs
 spread too widely to tell, and not every run of the change beats every
-run of the parent.
+run of the parent.  "summary" also holds "failures": each side's
+attempted and failed operations summed over its runs, its failure share,
+and the verdict "failure_share_rose", true when the change failed a
+larger share of its operations than the parent.
 
 Standard library only.
 """
@@ -59,13 +62,31 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def failure_totals(runs):
+    """Attempted and failed operations of each side over all runs, their
+    shares, and whether the change's share is the larger."""
+    out = {}
+    for side in ("parent", "pr"):
+        attempted = sum(r[side]["attempted"] for r in runs)
+        failed = sum(r[side]["failed"] for r in runs)
+        out[f"{side}_attempted"] = attempted
+        out[f"{side}_failed"] = failed
+        out[f"{side}_share"] = failed / attempted if attempted else None
+    # compared as cross products, so a side with no operations needs no
+    # division
+    out["failure_share_rose"] = (out["pr_failed"] * out["parent_attempted"]
+                                 > out["parent_failed"] * out["pr_attempted"])
+    return out
+
+
 def summarize(runs, metrics):
-    """Per-metric medians, quartiles, wins and the three verdicts.
+    """Per-metric medians, quartiles, wins and the three verdicts, and
+    the failure totals under "failures".
 
     metrics maps an end-to-end metric name to its BENCHMARK.json entry,
     which gives "better" and "bound".
     """
-    summary = {}
+    summary = {"failures": failure_totals(runs)}
     names = sorted(set(runs[0]["parent"]["metrics"])
                    & set(runs[0]["pr"]["metrics"]))
     for name in names:
@@ -148,12 +169,18 @@ def main(argv=None):
         "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    for name, s in out["summary"].items():
+    summary = dict(out["summary"])
+    fails = summary.pop("failures")
+    for name, s in summary.items():
         print(f"{name:36s} parent {s['parent_median']:.6g}  "
               f"pr {s['pr_median']:.6g}  wins {s['pr_wins']}/{s['pairs']}"
               f"  gain {'holds' if s['gain_rule_holds'] else 'fails'}"
               f"  {'within' if s['within_bound'] else 'BEYOND'} bound"
               f"{'  unresolved' if s['unresolved'] else ''}")
+    print(f"{'failed operations':36s} parent {fails['parent_failed']}/"
+          f"{fails['parent_attempted']}  pr {fails['pr_failed']}/"
+          f"{fails['pr_attempted']}  share "
+          f"{'ROSE' if fails['failure_share_rose'] else 'did not rise'}")
     return 0 if all(r[side]["correct"] for r in runs
                     for side in ("parent", "pr")) else 1
 
