@@ -417,16 +417,7 @@ class XSeries(_Series):
         """The j-th derivative in closed form:
         [x^(k-j)] b^(j) = k (k-1) ... (k-j+1) b_k, guaranteed below
         x^(prec - j)."""
-        if self.prec is not None and self.prec <= j:
-            raise PrecisionError(f"cannot differentiate {j} times a series "
-                                 f"guaranteed only below x^{self.prec}")
-        k0 = max(self._lo, j)  # the exponents below j vanish
-        num, rise = [], perm(k0, j)
-        for k, x in enumerate(self._num[k0 - self._lo:], k0):
-            num.append(rise * x)
-            rise = rise * (k + 1) // (k + 1 - j)
-        return XSeries._make(k0 - j, num, self._den,
-                             None if self.prec is None else self.prec - j)
+        return _derivative_sum(((self, j, 1),))
 
     def integral(self) -> "XSeries":
         """Antiderivative with constant term zero (the normalization used
@@ -628,6 +619,78 @@ def xd_action(parts, prec=None) -> ZLaurent:
                     break
                 cs[q + l - lo] += x * rise * y
     return ZLaurent._make(lo, cs, den, prec)
+
+
+def _derivative_sum(parts) -> XSeries:
+    """The sum of c s^(j) over the (s, j, c) in parts, with s an XSeries,
+    j >= 0 and c an int or Fraction.
+
+    [x^(k-j)] s^(j) = k (k-1) ... (k-j+1) s_k is read off the numerators,
+    and every part adds into one integer list over the lcm of the
+    denominators c.denominator * s._den.  s^(j) is known below
+    x^(prec(s) - j) and the sum below the least of those windows; a part
+    with prec(s) <= j raises PrecisionError.
+    """
+    prec = inf
+    lo = hi = 0
+    live = []
+    for s, j, c in parts:
+        if s.prec is not None:
+            if s.prec <= j:
+                raise PrecisionError(f"cannot differentiate {j} times a "
+                                     f"series guaranteed only below "
+                                     f"x^{s.prec}")
+            if s.prec - j < prec:
+                prec = s.prec - j
+        k0 = s._lo if s._lo > j else j  # the exponents below j vanish
+        top = s._lo + len(s._num)
+        if k0 < top:
+            if not live or k0 - j < lo:
+                lo = k0 - j
+            if not live or top - j > hi:
+                hi = top - j
+            live.append((s, j, c, k0))
+    den = lcm(*[c.denominator * s._den for s, _, c, _ in live])
+    hi = min(hi, prec)
+    cs = [0] * max(hi - lo, 0)
+    for s, j, c, k0 in live:
+        f = c.numerator * (den // (c.denominator * s._den))
+        num, off = s._num, s._lo
+        if not j:  # a plain sum, as of leibniz_sum's products
+            for i, x in enumerate(num[k0 - off:max(hi - off, 0)], k0 - lo):
+                if x:
+                    cs[i] += f * x
+            continue
+        rise = perm(k0, j)
+        for k, x in enumerate(num[k0 - off:max(hi + j - off, 0)], k0):
+            if x:
+                cs[k - j - lo] += f * rise * x
+            rise = rise * (k + 1) // (k + 1 - j)
+    return XSeries._make(lo, cs, den, None if prec == inf else prec)
+
+
+def leibniz_sum(n: int, groups) -> "Matrix":
+    """The n x n matrix sum of a * (sum of c b^(j) over the (b, j, c) in
+    parts) over the (a, parts) in groups, with a and b n x n Matrices of
+    XSeries, b^(j) the entrywise j-th x-derivative and c a rational.
+
+    Each entry of an inner sum is one integer list over one denominator,
+    known below the least of prec(b) - j over its parts; a part with an
+    entry known only below x^j raises PrecisionError.  Each product
+    a[i][t] * inner[t][l] is an XSeries product, so an exact zero factor
+    keeps it exactly zero, and the products of one output entry add into
+    one integer list over one denominator under the least of their
+    windows.
+    """
+    sums = [[[] for _ in range(n)] for _ in range(n)]
+    for a, parts in groups:
+        inner = [[_derivative_sum([(b.rows[t][l], j, c) for b, j, c in parts])
+                  for l in range(n)] for t in range(n)]
+        for row, out in zip(a.rows, sums):
+            for l, terms in enumerate(out):
+                terms.extend((x * inner[t][l], 0, 1)
+                             for t, x in enumerate(row))
+    return Matrix([[_derivative_sum(terms) for terms in out] for out in sums])
 
 
 class Matrix:

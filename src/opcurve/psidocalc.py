@@ -10,10 +10,13 @@ Composition is the generalized Leibniz rule
     D^m o a(x) = sum_{j>=0} binom(m, j) a^(j)(x) D^(m-j)
 
 with binom(m, j) = m(m-1)...(m-j+1)/j!, valid for negative m as well.
-One private kernel evaluates it: _leibniz_coeff sums the rule into the
-coefficient of a single degree of a product, reading each derivative in
-closed form from XSeries.derivative, and _end says where the derivatives
-of a coefficient matrix stop, exactly or at its x-precision.  compose(),
+One private kernel evaluates it: _leibniz_coeff picks the terms of the
+rule that reach a single degree of a product, and exactcore.leibniz_sum
+adds them over integers, reading each derivative in closed form from the
+stored numerators.  _end says where the derivatives of a coefficient
+matrix stop, exactly or at its x-precision, and _Terms keeps that end
+beside each coefficient of a right factor, so a solve reads it once per
+coefficient rather than once per degree.  compose(),
 divide_dressing(), dress_to_constant() and rth_root() are its only
 callers; the last three solve for one new coefficient per degree from the
 ones before it (divide_dressing() reads S^-1 o A off S o X = A, and
@@ -46,6 +49,7 @@ from .exactcore import (
     PrecisionError,
     XSeries,
     ZLaurent,
+    leibniz_sum,
     min_prec,
     power,
 )
@@ -79,34 +83,51 @@ def _end(mat: Matrix) -> int:
     return 1 + max(e.degree_bound() for row in mat.rows for e in row)
 
 
-def _leibniz_coeff(n: int, a_terms, b_terms, deg: int) -> Matrix:
+class _Terms(dict):
+    """Degree -> coefficient of the right factor of a Leibniz sum.
+
+    ends[k] is the derivative order from which every derivative of the
+    degree-k coefficient is an exact zero: _end of a coefficient whose
+    entries are all exact, inf otherwise.  Each assignment keeps it, so a
+    solve that grows or updates its terms reads every end once per value.
+    """
+
+    def __init__(self, terms=()):
+        super().__init__()
+        self.ends = {}
+        for k, mat in dict(terms).items():
+            self[k] = mat
+
+    def __setitem__(self, k, mat):
+        super().__setitem__(k, mat)
+        exact = all(e.exact for row in mat.rows for e in row)
+        self.ends[k] = _end(mat) if exact else inf
+
+
+def _leibniz_coeff(n: int, a_terms, b_terms: _Terms, deg: int) -> Matrix:
     """Coefficient of D^deg in A o B by the generalized Leibniz rule.
 
-    a_terms and b_terms map each degree of A and of B to its n x n
-    coefficient.  The result is the sum of binom(m, j) a_m b_k^(j) over
-    m + k - j = deg, formed as one product a_m (sum_k binom(m, j) b_k^(j))
-    per a_m; it is exactly zero when no term reaches deg.  Raises
-    PrecisionError, from XSeries.derivative, when a needed derivative lies
+    a_terms maps each degree of A to its n x n coefficient, and b_terms
+    each degree of B.  The result is the sum of binom(m, j) a_m b_k^(j)
+    over m + k - j = deg, formed by exactcore.leibniz_sum as one product
+    a_m (sum_k binom(m, j) b_k^(j)) per a_m, each derivative read in
+    closed form from b_k's integer numerators; it is exactly zero when no
+    term reaches deg.  Raises PrecisionError when a needed derivative lies
     beyond x-precision.
     """
-    # an exact b_k has exactly zero derivatives from order _end(b_k) on,
-    # so those terms add nothing, not even a window
-    exact_end = {k: _end(b) for k, b in b_terms.items()
-                 if all(e.exact for row in b.rows for e in row)}
-    acc = _zero_matrix(n)
+    groups = []
     for m, a in a_terms.items():
-        inner = None
+        parts = []
         for k, b in b_terms.items():
             j = m + k - deg
-            if j < 0 or 0 <= m < j or j >= exact_end.get(k, inf):
+            # an exact b_k has exactly zero derivatives from order
+            # ends[k] on, so those terms add nothing, not even a window
+            if j < 0 or 0 <= m < j or j >= b_terms.ends[k]:
                 continue
-            if j:
-                c = binom(m, j)
-                b = b.map(lambda e: e.derivative(j).scale(c))
-            inner = b if inner is None else inner + b
-        if inner is not None:
-            acc = acc + a * inner
-    return acc
+            parts.append((b, j, binom(m, j)))
+        if parts:
+            groups.append((a, parts))
+    return leibniz_sum(n, groups)
 
 
 class MatrixPsiDO:
@@ -379,10 +400,11 @@ def compose(p: MatrixPsiDO, q: MatrixPsiDO) -> MatrixPsiDO:
     else:
         bottom = floor
 
+    q_terms = _Terms(q.terms)
     acc: dict[int, Matrix] = {}
     for deg in range(p_top + q_top, bottom - 1, -1):
         try:
-            acc[deg] = _leibniz_coeff(n, p.terms, q.terms, deg)
+            acc[deg] = _leibniz_coeff(n, p.terms, q_terms, deg)
         except PrecisionError:
             # x-precision exhausted: this and all lower degrees are unknown
             floor = deg + 1 if floor is None else max(floor, deg + 1)
@@ -447,7 +469,7 @@ def divide_dressing(s: MatrixPsiDO, a: MatrixPsiDO, depth: int) -> MatrixPsiDO:
         floor = max(floor, s.lo + top)
     if a.lo is not None:
         floor = max(floor, a.lo)
-    terms = {}
+    terms = _Terms()
     for deg in range(top, floor - 1, -1):
         try:
             acc = _leibniz_coeff(n, svals, terms, deg)
@@ -500,7 +522,9 @@ def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     if not p.coeff(r - 1).is_zero():
         raise DomainError("subleading coefficient must vanish for the "
                           "normalized dressing")
-    if p.exact and p == MatrixPsiDO.d(r, n):
+    if p.exact and p.xprec() is None and p == MatrixPsiDO.d(r, n):
+        # only an exactly known D^r is dressed by exactly I; a coefficient
+        # that is zero on a window leaves S unknown beyond it
         return MatrixPsiDO.identity(n)
     # only P's degrees 0 .. r-2 and its identity top enter the sum; its
     # other stored degrees are zero within precision and would add nothing
@@ -508,7 +532,7 @@ def dress_to_constant(p: MatrixPsiDO, depth=None) -> MatrixPsiDO:
     ident = Matrix.identity(n, XSeries.one())
     p_terms = {m: mat for m, mat in p.terms.items() if 0 <= m < r - 1}
     p_terms[r] = ident
-    s_terms = {0: ident}
+    s_terms = _Terms({0: ident})
     for d in range(1, depth + 1):
         # s_d' is fixed by the coefficient of D^(r-1-d), whose other terms
         # draw on s_0 .. s_(d-1) only
@@ -544,8 +568,8 @@ def rth_root(p: MatrixPsiDO, r: int, depth=None) -> MatrixPsiDO:
         depth = DEFAULT_DEPTH
     ident = Matrix.identity(n, XSeries.one())
     # powers[k] maps degree -> coefficient of R^k found so far, k < r
-    root = {1: ident}
-    powers = [None, root] + [{k: ident} for k in range(2, r)]
+    root = _Terms({1: ident})
+    powers = [None, root] + [_Terms({k: ident}) for k in range(2, r)]
     steps = 0
     while steps < depth:
         deg = r - 1 - steps

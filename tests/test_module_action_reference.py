@@ -1,6 +1,7 @@
 """sato.module_action and MatrixPsiDO.to_laurent against the Fraction
 implementations they replaced, and the window soundness of module_action,
-to_laurent, compose, divide_dressing and point_from_dressing.
+to_laurent, compose, divide_dressing, dress_to_constant, rth_root and
+point_from_dressing.
 
 ref_module_action below is the former module_action, kept as an oracle:
 each part s(x) D^m w went through _scalar_action, a dict of Fraction
@@ -33,7 +34,14 @@ from opcurve.exactcore import (
     XSeries,
     ZLaurent,
 )
-from opcurve.psidocalc import MatrixPsiDO, binom, compose, divide_dressing
+from opcurve.psidocalc import (
+    MatrixPsiDO,
+    binom,
+    compose,
+    divide_dressing,
+    dress_to_constant,
+    rth_root,
+)
 from opcurve.sato import module_action, point_from_dressing
 
 
@@ -532,3 +540,76 @@ def test_divide_dressing_claims_only_what_inputs_justify(
     assert claimed >= 120
     _record(record_testsuite_property, "divide_dressing", shortfalls)
 
+
+def _monic_triple(rng, n, r, degs, blind):
+    """D^r I plus terms on degs, cut to shallow windows: cut, deep and a
+    second completion of the cut.  With blind, the cut may have a lo, as
+    in _cut_operator; otherwise it is exact in degree."""
+    if blind:
+        ops = _cut_operator(rng, n, degs)
+    else:
+        trips = {m: [[_cut_x(rng, _deep_x(rng)) for _ in range(n)]
+                     for _ in range(n)] for m in degs}
+        ops = tuple(MatrixPsiDO(n, {m: Matrix([[e[i] for e in row]
+                                               for row in trip])
+                                    for m, trip in trips.items()})
+                    for i in (1, 0, 2))
+    top = {r: Matrix.identity(n, XSeries.one())}
+    return tuple(MatrixPsiDO(n, {**op.terms, **top}, op.lo) for op in ops)
+
+
+def _compare_operators(shallow, deep_a, deep_b, shortfalls):
+    """Every entry of every degree shallow tracks against both
+    completions; returns how many degrees were compared."""
+    degs = set(shallow.terms) | set(deep_a.terms) | set(deep_b.terms)
+    claimed = 0
+    for m in sorted(degs):
+        if shallow.lo is not None and m < shallow.lo:
+            continue
+        claimed += 1
+        for s, a, b in zip(*(op.coeff(m).rows
+                             for op in (shallow, deep_a, deep_b))):
+            for es, ea, eb in zip(s, a, b):
+                _x_claims_hold(es, ea)
+                _x_claims_hold(es, eb)
+                if es.prec is not None:
+                    shortfalls.append(_x_determined(ea, eb) - es.prec)
+    return claimed
+
+
+def test_dress_to_constant_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-dress-to-constant")
+    shortfalls = []
+    checked = 0
+    for _ in range(150):
+        n = rng.choice([1, 2])
+        r = rng.choice([2, 3])
+        cut, deep, other = _monic_triple(rng, n, r, range(r - 1), False)
+        depth = rng.randint(1, 4)
+        try:
+            shallow = dress_to_constant(cut, depth)
+        except PrecisionError:
+            continue
+        _compare_operators(shallow, dress_to_constant(deep, depth),
+                           dress_to_constant(other, depth), shortfalls)
+        checked += 1
+    assert checked >= 60
+    _record(record_testsuite_property, "dress_to_constant", shortfalls)
+
+
+def test_rth_root_claims_only_what_inputs_justify(record_testsuite_property):
+    rng = random.Random("sound-rth-root")
+    shortfalls = []
+    claimed = 0
+    for _ in range(150):
+        n = rng.choice([1, 2])
+        r = rng.choice([1, 2, 3])
+        cut, deep, other = _monic_triple(
+            rng, n, r, rng.sample(range(-2, r), rng.randint(1, 2)), True)
+        depth = rng.randint(1, 4)
+        claimed += _compare_operators(rth_root(cut, r, depth),
+                                      rth_root(deep, r, depth),
+                                      rth_root(other, r, depth), shortfalls)
+    assert claimed >= 150
+    _record(record_testsuite_property, "rth_root", shortfalls)

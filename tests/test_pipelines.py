@@ -48,6 +48,16 @@ def test_dress_constant_power_is_identity():
     assert s == MatrixPsiDO.identity(2)
 
 
+def test_dress_of_d_r_on_a_window_is_not_exact():
+    # D^2 + O(x^3) equals D^2 only on its window: its completion
+    # D^2 + 5x^3 dresses with s_-3 = -15/8 x^2 + ..., so S is no exact I
+    s = dress_to_constant(
+        MatrixPsiDO.from_scalars({2: 1, 0: XSeries([], 3)}), depth=3)
+    assert s.lo == -3
+    assert [s.coeff(m).entry(0, 0).prec for m in (-1, -2, -3)] == [4, 3, 2]
+    assert all(s.coeff(m).is_zero() for m in (-1, -2, -3))
+
+
 def test_dress_cusp_operator_first_coefficient():
     # the recursion integrates s_1' = (x+1)^-2 with zero constant, so
     # s_1 = x - x^2 + x^3 - ...; frozen from the closed-form integral

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from opcurve import psidocalc
 from opcurve.exactcore import (
     DomainError,
     Matrix,
@@ -208,14 +209,16 @@ def test_compose_precision_poisoning():
 
 
 def test_compose_of_exact_operators_skips_vanishing_derivatives(monkeypatch):
+    # the derivative orders j >= 1 of the (b, j) parts that the Leibniz
+    # sums hand to the kernel
     calls = []
-    real = XSeries.derivative
+    real = psidocalc.leibniz_sum
 
-    def counted(self, j=1):
-        calls.append(j)
-        return real(self, j)
+    def counted(n, groups):
+        calls.extend(j for _, parts in groups for _, j, _ in parts if j)
+        return real(n, groups)
 
-    monkeypatch.setattr(XSeries, "derivative", counted)
+    monkeypatch.setattr(psidocalc, "leibniz_sum", counted)
     # D^3 o (x^2 + D): only the first and second derivatives of x^2 are
     # nonzero; the constant 1 and the third derivative of x^2 vanish
     # exactly and are never computed
