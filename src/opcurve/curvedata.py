@@ -213,8 +213,10 @@ def _laurent_rref(rows):
     """Eliminate rows of Laurent series over the series field.
 
     Returns the independent rows found.  Pivots take the entry of
-    deepest certified pole.  A row left without certified support that
-    still carries a truncation window is inconclusive and raises.
+    deepest certified pole.  Every row is reduced by the pivot row unless
+    its entry in the pivot column is exactly zero.  A row left without
+    certified support that still carries a truncation window is
+    inconclusive and raises.
     """
     pending = [list(r) for r in rows]
     ncols = len(pending[0]) if pending else 0
@@ -242,7 +244,9 @@ def _laurent_rref(rows):
         pivot = pivot_row[ci]
         inv = pivot.inverse()
         for row in pending:
-            if not row[ci].is_zero():
+            # an entry zero only on its window still hides a multiple of
+            # the pivot row, whose subtraction carries that window along
+            if not (row[ci].exact and row[ci].is_zero()):
                 f = row[ci] * inv
                 for j in range(len(row)):
                     row[j] = row[j] - f * pivot_row[j]

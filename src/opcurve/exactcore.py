@@ -23,17 +23,18 @@ outside the guaranteed window raises PrecisionError instead of guessing.
 
 This module alone decides how coefficients are stored.  Every other
 module reads a series through its methods: coeff, items, support,
-is_zero, valuation/order, low_bound and degree_bound.  The read-only
-coeffs attribute (a tuple of Fractions on XSeries, a dict of exponent ->
-nonzero Fraction on ZLaurent, both built on read) is there only for the
-benchmark and the tests.
+is_zero, valuation/order, low_bound and degree_bound, or as integers
+over a common denominator through denominator and scaled_items.  The
+read-only coeffs attribute (a tuple of Fractions on XSeries, a dict of
+exponent -> nonzero Fraction on ZLaurent, both built on read) is there
+only for the benchmark and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice, repeat, zip_longest
-from math import gcd, inf, lcm, perm
+from math import gcd, inf, isqrt, lcm, perm
 
 
 # Default windows for interactive work.  Library operations derive their
@@ -215,6 +216,22 @@ class _Series:
     def items(self):
         """The nonzero (exponent, coefficient) pairs, exponents increasing."""
         return list(self._view().items())
+
+    @property
+    def denominator(self) -> int:
+        """The least positive integer that makes every stored coefficient
+        an integer."""
+        return self._den
+
+    def scaled_items(self, den: int):
+        """The nonzero (exponent, den * coefficient) pairs, exponents
+        increasing, as ints: den must be a multiple of the denominator,
+        and no Fraction is built."""
+        f, r = divmod(den, self._den)
+        if r or f <= 0:
+            raise DomainError(f"{den} is not a positive multiple of the "
+                              f"denominator {self._den}")
+        return [(k, x * f) for k, x in enumerate(self._num, self._lo) if x]
 
     def is_zero(self) -> bool:
         """True when every guaranteed coefficient vanishes."""
@@ -809,13 +826,29 @@ def char_coefficients(m: Matrix) -> tuple:
 
 # -- exact linear algebra over the rationals -------------------------
 #
-# Gauss-Jordan elimination on integer-scaled rows.  Row operations use
+# Rows are scaled to integers, and a row of ints is taken as it is.
+# rref is Gauss-Jordan elimination on them: row operations use
 # cross-multiplication with gcd stripping, so no fraction normalization
 # happens inside the loop; pivots are divided out only at the end.  The
 # reduced form is unique, so the output is the same as for elimination
 # over the fractions directly.  Pivots are chosen as the first row with
 # a nonzero entry in the current column, so every result is
 # deterministic.
+#
+# solve_system answers an overdetermined system from a certified
+# modular solution.  The first rows independent modulo a prime p are
+# independent over the rationals, so their square system has exactly one
+# solution.  That system is solved modulo p, each entry is read back as
+# the fraction r/s with |r|, s <= isqrt(p/2) that it is congruent to
+# (rational reconstruction: Wang, Guy & Davenport, SIGSAM Bull. 1982;
+# von zur Gathen & Gerhard, Modern Computer Algebra, 5.10), and the
+# candidate is checked exactly against the picked rows.  A candidate
+# that satisfies them is the unique solution, so only then may another
+# row's exact check declare the system inconsistent.  When an entry has
+# no reconstruction, or the candidate fails a picked row, rref solves
+# the picked rows instead.  The prime chooses; exact arithmetic decides.
+# One prime suffices for the small solutions the frame equations have,
+# so no p-adic lifting is done.
 
 def _strip_row(row):
     g = 0
@@ -828,8 +861,15 @@ def _strip_row(row):
     return row
 
 
+def _ints(row) -> bool:
+    return {*map(type, row)} <= {int}
+
+
 def _integer_row(row):
-    """The row times the least common multiple of its denominators."""
+    """The row times the least common multiple of its denominators; a row
+    of ints as it is."""
+    if _ints(row):
+        return row
     fr = [as_fraction(e) for e in row]
     den = lcm(*[e.denominator for e in fr])
     return [e.numerator * (den // e.denominator) for e in fr]
@@ -871,24 +911,51 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-# Rows of an overdetermined system are chosen modulo this prime.  It only
-# chooses: exact arithmetic decides every answer.
+# Rows of an overdetermined system are chosen, and their square system
+# solved, modulo this prime.  It only chooses: exact arithmetic decides
+# every answer.
 SELECTION_PRIME = 2**61 - 1
+_RECONSTRUCTION_BOUND = isqrt(SELECTION_PRIME // 2)
 
 
-def _independent_rows(rows, ncols):
-    """Indices of the first rows, in order, whose leading ncols integer
-    entries are independent modulo SELECTION_PRIME; at most ncols."""
+def _integer_pairs(rows, rhs_rows):
+    """Each row of A beside its row of B, both times one factor that
+    makes them integers; rows of ints are taken as they are."""
+    out = []
+    for row, rhs in zip(rows, rhs_rows):
+        if _ints(row) and _ints(rhs):
+            out.append((row, rhs))
+        else:
+            whole = _integer_row(list(row) + list(rhs))
+            out.append((whole[:len(row)], whole[len(row):]))
+    return out
+
+
+def _augmented(pairs):
+    return [list(lhs) + list(rhs) for lhs, rhs in pairs]
+
+
+def _independent_rows(pairs, ncols):
+    """Indices of the first integer rows (lhs, rhs), in order, whose ncols
+    lhs entries are independent modulo SELECTION_PRIME, at most ncols;
+    and, when there are ncols of them, the solution modulo the prime of
+    the square system they form, one list of residues per unknown with
+    one entry per right-hand side, else None.
+
+    Each row is reduced with its right-hand sides against the rows picked
+    before it, so the picked rows end up triangular with pivot entry 1,
+    and back-substitution solves them.
+    """
     p = SELECTION_PRIME
-    basis = []  # (pivot column, reduced row with pivot entry 1)
+    basis = []  # (pivot column, reduced augmented row with pivot entry 1)
     picked = []
-    for idx, row in enumerate(rows):
-        v = [x % p for x in row[:ncols]]
+    for idx, (lhs, rhs) in enumerate(pairs):
+        v = [x % p for x in chain(lhs, rhs)]
         for c, b in basis:
             f = v[c]
             if f:
                 v = [(x - f * y) % p for x, y in zip(v, b)]
-        c = next((j for j, x in enumerate(v) if x), None)
+        c = next((j for j in range(ncols) if v[j]), None)
         if c is None:
             continue
         inv = pow(v[c], -1, p)
@@ -896,18 +963,61 @@ def _independent_rows(rows, ncols):
         picked.append(idx)
         if len(picked) == ncols:
             break
-    return picked
+    if len(picked) < ncols:
+        return picked, None
+    # a picked row is zero at the pivots of the rows picked before it
+    sol = [None] * ncols
+    for c, b in reversed(basis):
+        acc = b[ncols:]
+        for j, f in enumerate(b[:ncols]):
+            if f and j != c:
+                acc = [x - f * y for x, y in zip(acc, sol[j])]
+        sol[c] = [x % p for x in acc]
+    return picked, sol
+
+
+def _reconstructed(a):
+    """The fraction r/s congruent to a modulo SELECTION_PRIME with |r| and
+    s at most _RECONSTRUCTION_BOUND, found by the extended Euclidean
+    algorithm, or None when there is none."""
+    bound = _RECONSTRUCTION_BOUND
+    r0, r1, s0, s1 = SELECTION_PRIME, a, 0, 1  # r_i = s_i * a mod p
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _satisfied(pairs, sol, nrhs):
+    """Whether every integer row (lhs, rhs) holds exactly at sol, one row
+    of nrhs Fractions per unknown."""
+    for i in range(nrhs):
+        # the solution column as integer numerators over one denominator
+        col = [row[i] for row in sol]
+        den = lcm(*[x.denominator for x in col])
+        nums = [x.numerator * (den // x.denominator) for x in col]
+        for lhs, rhs in pairs:
+            if sum(a * x for a, x in zip(lhs, nums) if a) != rhs[i] * den:
+                return False
+    return True
 
 
 def solve_system(rows, rhs_rows):
     """Exact solution X of A X = B, and the rank of A.
 
     rows holds A and rhs_rows holds B, row for row; X has one row per
-    column of A and one entry per right-hand side.  Each augmented row is
-    scaled to integers.  When as many rows as A has columns are
-    independent modulo SELECTION_PRIME, hence over the rationals, rref
-    solves that square system and every row is then checked exactly
-    against every right-hand side.  Otherwise one rref of the whole
+    column of A and one entry per right-hand side.  Each row of A and its
+    row of B are scaled to integers together, and rows of ints are taken
+    as they are.  When as many rows as A has columns are independent
+    modulo SELECTION_PRIME, hence over the rationals, their square system
+    has exactly one solution.  Its solution modulo the prime is read back
+    by rational reconstruction, and the candidate is checked exactly
+    against those picked rows; when it fails, or an entry has no
+    reconstruction, rref solves the picked rows.  Only the solution so
+    certified is then checked against every other row, and a row it
+    fails makes the system inconsistent.  Otherwise one rref of the whole
     augmented system decides.
 
     Returns (X, rank).  X is None when the system is inconsistent;
@@ -917,29 +1027,28 @@ def solve_system(rows, rhs_rows):
     if not rows:
         return [], 0
     ncols = len(rows[0])
-    aug = [_integer_row(list(row) + list(rhs))
-           for row, rhs in zip(rows, rhs_rows)]
-    picked = _independent_rows(aug, ncols)
-    if len(picked) < ncols:
-        red, pivots = rref(aug)
+    pairs = _integer_pairs(rows, rhs_rows)
+    nrhs = len(pairs[0][1])
+    picked, residues = _independent_rows(pairs, ncols)
+    if residues is None:
+        red, pivots = rref(_augmented(pairs))
         rk = sum(1 for p in pivots if p < ncols)
         if rk < len(pivots):
             return None, rk
-        sol = [[Fraction(0)] * (len(aug[0]) - ncols) for _ in range(ncols)]
+        sol = [[Fraction(0)] * nrhs for _ in range(ncols)]
         for r, pc in enumerate(pivots):
             sol[pc] = red[r][ncols:]
         return sol, rk
-    red, _ = rref([aug[i] for i in picked])
-    sol = [red[j][ncols:] for j in range(ncols)]
-    # each solution column as integer numerators over one denominator
-    for i in range(len(aug[0]) - ncols):
-        col = [row[i] for row in sol]
-        den = lcm(*[x.denominator for x in col])
-        nums = [x.numerator * (den // x.denominator) for x in col]
-        for row in aug:
-            if (sum(a * x for a, x in zip(row, nums) if a)
-                    != row[ncols + i] * den):
-                return None, ncols
+    square = [pairs[i] for i in picked]
+    sol = [[_reconstructed(a) for a in row] for row in residues]
+    if (any(x is None for row in sol for x in row)
+            or not _satisfied(square, sol, nrhs)):
+        red, _ = rref(_augmented(square))
+        sol = [red[j][ncols:] for j in range(ncols)]
+    chosen = set(picked)
+    others = [pair for i, pair in enumerate(pairs) if i not in chosen]
+    if not _satisfied(others, sol, nrhs):
+        return None, ncols
     return sol, ncols
 
 

@@ -18,7 +18,7 @@ when every contribution to it is guaranteed.
 from __future__ import annotations
 
 from itertools import chain
-from math import inf
+from math import inf, lcm
 
 from .exactcore import (
     DimensionError,
@@ -230,6 +230,12 @@ class GrassPoint:
                     f"down to class {lo}")
         full = [self._reduced_coords(col, lo) for col in self.columns]
         if rank([list(r) for r in zip(*full)] if full else []) != k:
+            # a windowed column has unknown coordinates below class lo,
+            # which can make the columns independent
+            if any(w.prec is not None for col in self.columns for w in col):
+                raise PrecisionError("column windows do not determine "
+                                     "whether the exceptional columns are "
+                                     "independent modulo the standard tail")
             raise DomainError("exceptional columns are dependent modulo "
                               "the standard tail")
         a_rows = [[col[s - lo] for col in full] for s in range(max(0, lo), s0)]
@@ -319,9 +325,13 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     Each column w gives one equation per z-exponent e >= 1 in its window.
     The unknown coefficient of x^l D^-m at component p meets x^l acting
     on z^m w_p, one exactcore.xd_action call cut at w's window; that
-    action only raises exponents, so w's window bounds the rows.  The
-    overdetermined system goes to exactcore.solve_system, and the rank it
-    reports tells a unique solution from an underdetermined shape.
+    action only raises exponents, so w's window bounds the rows.  Every
+    row of w and its right-hand sides are read as integers over the lcm
+    of w's denominators (scaled_items), so no Fraction is built.  The
+    overdetermined system goes to exactcore.solve_system, which solves
+    it modulo a prime and certifies the reconstructed solution exactly,
+    and the rank it reports tells a unique solution from an
+    underdetermined shape.
     """
     n = point.n
     if depth < 1 or nx < 1:
@@ -344,20 +354,24 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
     rhs_rows = []
     for w in cols:
         hi = min_prec(w)
-        eqs = {k: [0] * nun for wp in w for k in wp.support()
+        # the rows of w are integers over the lcm of its denominators,
+        # which every action on an entry of w keeps or divides
+        den = lcm(*[wp.denominator for wp in w])
+        rhs = [dict(wp.scaled_items(den)) for wp in w]
+        eqs = {k: [0] * nun for r in rhs for k in r
                if k >= 1 and (hi is None or k <= hi)}
         for m in range(1, depth + 1):
             for p, wp in enumerate(w):
                 zw = wp * ZLaurent.monomial(m)  # D^-m w_p = z^m w_p
                 for l, x in enumerate(xs):
-                    for e, c in xd_action([(x, 0, zw)], hi).items():
+                    for e, c in xd_action([(x, 0, zw)], hi).scaled_items(den):
                         if e >= 1:
                             if e not in eqs:
                                 eqs[e] = [0] * nun
                             eqs[e][unknown(m, l, p)] = c
         for e in sorted(eqs):
             rows.append(eqs[e])
-            rhs_rows.append([-wp.coeff(e) for wp in w])
+            rhs_rows.append([-r.get(e, 0) for r in rhs])
     if not rows:
         raise DomainError("frame windows leave the dressing "
                           "underdetermined at this depth and x-degree")

@@ -365,6 +365,16 @@ def test_span_dim_inconclusive_window():
     assert laurent_span_dim([[ZLaurent.zero()]]) == 0
 
 
+def test_span_dim_eliminates_an_entry_zero_only_on_its_window():
+    # below z^-1 the second row's first entry is unknown: it may be z^-1,
+    # which makes the rows equal, so the span is not certified
+    one = ZLaurent.one()
+    with pytest.raises(PrecisionError):
+        laurent_span_dim([[zmono(-1), one], [ZLaurent.zero(prec=-2), one]])
+    assert laurent_span_dim([[zmono(-1), one], [ZLaurent.zero(), one]]) == 2
+    assert laurent_span_dim([[zmono(-1), one], [zmono(-1), one]]) == 1
+
+
 # -- characteristic data ------------------------------------------------
 
 def test_charpoly_j():

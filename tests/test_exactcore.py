@@ -215,6 +215,29 @@ def test_zlaurent_items_and_low_bound():
     assert ZLaurent.zero().low_bound() == inf
 
 
+def test_scaled_items_are_integers_over_a_multiple_of_the_denominator():
+    w = ZLaurent({-3: Fraction(1, 2), -1: Fraction(-4, 3), 2: 1}, prec=4)
+    assert w.denominator == 6
+    assert w.scaled_items(6) == [(-3, 3), (-1, -8), (2, 6)]
+    assert w.scaled_items(12) == [(-3, 6), (-1, -16), (2, 12)]
+    assert all(type(x) is int for _, x in w.scaled_items(6))
+    assert XSeries([Fraction(1, 4), 0, 2], 5).scaled_items(8) == [(0, 2),
+                                                                  (2, 16)]
+    assert ZLaurent.zero().denominator == 1
+    assert ZLaurent.zero().scaled_items(5) == []
+    for bad in (4, 0, -6):
+        with pytest.raises(DomainError):
+            w.scaled_items(bad)
+
+
+def test_scaled_items_match_items_sampled():
+    rng = random.Random(406)
+    for _ in range(60):
+        a = rand_zlaurent(rng)
+        den = a.denominator * rng.randint(1, 4)
+        assert a.scaled_items(den) == [(k, c * den) for k, c in a.items()]
+
+
 def test_zlaurent_items_match_coeff_sampled():
     rng = random.Random(405)
     for _ in range(60):
@@ -377,10 +400,12 @@ def _system(rng, nrows, ncols, nrhs):
 
 
 def test_solve_system_solves_only_a_square_system(monkeypatch):
+    # the square system of the picked rows is solved modulo the prime,
+    # and its reconstruction is certified without any rref
     sizes = _counting_rref(monkeypatch)
     a, b, x = _system(random.Random(77), 12, 4, 2)
     assert solve_system(a, b) == (x, 4)
-    assert sizes == [4]
+    assert sizes == []
 
 
 def test_solve_system_inconsistent_by_residual(monkeypatch):
@@ -388,10 +413,63 @@ def test_solve_system_inconsistent_by_residual(monkeypatch):
     a, b, _ = _system(random.Random(78), 12, 4, 2)
     b[9][1] += 1
     assert solve_system(a, b) == (None, 4)
-    assert sizes == [4]
+    assert sizes == []
     # a row with a zero left-hand side is never picked, only checked
     a, b, _ = _system(random.Random(79), 6, 3, 1)
     assert solve_system(a + [[0, 0, 0]], b + [[Fraction(1, 3)]]) == (None, 3)
+
+
+def _products(a, x):
+    return [[sum(r * xj[i] for r, xj in zip(row, x))
+             for i in range(len(x[0]))] for row in a]
+
+
+def test_solve_system_falls_back_when_an_entry_has_no_reconstruction(
+        monkeypatch):
+    # 2^31 lies past the bound isqrt(p/2) ~ 2^30, and its residue is no
+    # small fraction either: rref solves the picked rows, exactly
+    assert exactcore._reconstructed(2**31 % SELECTION_PRIME) is None
+    sizes = _counting_rref(monkeypatch)
+    a = [[1, 2], [3, 5], [2, 7]]
+    x = [[2**31, Fraction(1, 3)], [-1, 2]]
+    assert solve_system(a, _products(a, x)) == (x, 2)
+    assert sizes == [2]
+
+
+def test_solve_system_picked_rows_catch_a_wrong_candidate(monkeypatch):
+    # 2^40 = 2^-21 modulo p = 2^61 - 1, so the reconstruction is a wrong
+    # small fraction; the picked rows reject it before the third row
+    # could call the system inconsistent, and rref solves them
+    assert (exactcore._reconstructed(2**40 % SELECTION_PRIME)
+            == Fraction(1, 2**21))
+    sizes = _counting_rref(monkeypatch)
+    a = [[1, 2], [3, 5], [2, 7]]
+    x = [[2**40], [1]]
+    assert solve_system(a, _products(a, x)) == (x, 2)
+    assert sizes == [2]
+    # the same with the candidate one prime off: p + 1 reads back as 1
+    a = [[1], [2]]
+    x = [[SELECTION_PRIME + 1]]
+    assert solve_system(a, _products(a, x)) == (x, 1)
+    assert sizes == [2, 1]
+
+
+def test_solve_system_inconsistent_only_in_an_unpicked_row(monkeypatch):
+    sizes = _counting_rref(monkeypatch)
+    a = [[1, 0], [0, 1], [1, 1]]
+    assert solve_system(a, [[1], [2], [3]]) == ([[1], [2]], 2)
+    assert solve_system(a, [[1], [2], [4]]) == (None, 2)
+    assert sizes == []
+
+
+def test_solve_system_takes_integer_rows_as_they_are(monkeypatch):
+    def no_fraction(e):
+        raise AssertionError(f"integer row entry {e!r} converted")
+
+    monkeypatch.setattr(exactcore, "as_fraction", no_fraction)
+    a = [[2, 1], [1, 3], [4, 7]]
+    assert solve_system(a, [[5], [5], [15]]) == ([[2], [1]], 2)
+    assert solve_system(a, [[5], [5], [16]]) == (None, 2)
 
 
 def test_solve_system_eliminates_rank_deficient_systems_whole(monkeypatch):

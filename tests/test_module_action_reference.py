@@ -1,7 +1,8 @@
 """sato.module_action and MatrixPsiDO.to_laurent against the Fraction
 implementations they replaced, and the window soundness of module_action,
-to_laurent, compose, divide_dressing, dress_to_constant, rth_root and
-point_from_dressing.
+to_laurent, compose, divide_dressing, dress_to_constant, rth_root,
+point_from_dressing, GrassPoint.fredholm_report and
+curvedata.laurent_span_dim.
 
 ref_module_action below is the former module_action, kept as an oracle:
 each part s(x) D^m w went through _scalar_action, a dict of Fraction
@@ -21,14 +22,19 @@ every coefficient the first result claims to match both.  Where the two
 completions first differ bounds the window the inputs really determine;
 how far the claimed window falls short of it is recorded as the test
 suite properties <operation>.max_shortfall and <operation>.tight_share
-(shown by --junitxml).
+(shown by --junitxml).  fredholm_report and laurent_span_dim answer with
+counts, not series: whatever the cut input answers, a count or a domain
+error, both completions must answer too, and tight_share is the share of
+the answers both completions agree on that the cut input gives.
 """
 
 import random
 from fractions import Fraction
 from math import factorial, inf
 
+from opcurve.curvedata import laurent_span_dim
 from opcurve.exactcore import (
+    DomainError,
     Matrix,
     PrecisionError,
     XSeries,
@@ -42,7 +48,7 @@ from opcurve.psidocalc import (
     dress_to_constant,
     rth_root,
 )
-from opcurve.sato import module_action, point_from_dressing
+from opcurve.sato import GrassPoint, module_action, point_from_dressing
 
 
 def _scalar_action(s, m, w):
@@ -613,3 +619,86 @@ def test_rth_root_claims_only_what_inputs_justify(record_testsuite_property):
                                       rth_root(other, r, depth), shortfalls)
     assert claimed >= 150
     _record(record_testsuite_property, "rth_root", shortfalls)
+
+
+def _answer(f):
+    """What f() answers: ("count", value) or ("domain", message); None
+    when it raises PrecisionError, which claims nothing."""
+    try:
+        return "count", f()
+    except DomainError as exc:
+        return "domain", str(exc)
+    except PrecisionError:
+        return None
+
+
+def _compare_answers(shallow, deep_a, deep_b, shortfalls):
+    """An answer of the cut input must be both completions' answer; a
+    determined answer it does not give counts as a shortfall of 1."""
+    if shallow is not None:
+        assert shallow == deep_a == deep_b
+    if deep_a is not None and deep_a == deep_b:
+        shortfalls.append(0 if shallow is not None else 1)
+
+
+def test_fredholm_report_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-fredholm-report")
+    shortfalls = []
+    seen = set()
+    for _ in range(400):
+        n = rng.choice([1, 2])
+        k = rng.randint(0, 3)
+        cols = [[_deep_z(rng) for _ in range(n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.3:
+            c = _rational(rng) or Fraction(1)
+            cols[-1] = [a * c + b for a, b in zip(cols[0], cols[1])]
+        trips = [[_cut_z(rng, w) for w in col] for col in cols]
+        s0 = rng.randint(-2, 4)
+        deep, cut, other = (
+            GrassPoint(n, [[e[i] for e in col] for col in trips], s0)
+            for i in range(3))
+        shallow = _answer(lambda: cut.fredholm_report().as_dict())
+        seen.add(shallow and shallow[0])
+        _compare_answers(shallow,
+                         _answer(lambda: deep.fredholm_report().as_dict()),
+                         _answer(lambda: other.fredholm_report().as_dict()),
+                         shortfalls)
+    assert {None, "count", "domain"} <= seen
+    assert len(shortfalls) >= 300
+    _record(record_testsuite_property, "fredholm_report", shortfalls)
+
+
+def test_laurent_span_dim_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-laurent-span-dim")
+    shortfalls = []
+    seen = set()
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+        # exact monomial entries keep the elimination exact, so an exact
+        # dependence can be certified
+        rows = [[ZLaurent.monomial(rng.randint(-3, 2), _rational(rng) or 1)
+                 if rng.random() < 0.3 else _deep_z(rng)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 2 and rng.random() < 0.5:
+            # the last row is a Laurent multiple of the first, plus the
+            # second when there are three
+            scale = ZLaurent.monomial(rng.randint(-2, 2),
+                                      _rational(rng) or 1)
+            rest = rows[1] if nrows > 2 else [ZLaurent.zero()] * ncols
+            rows[-1] = [a * scale + b for a, b in zip(rows[0], rest)]
+        trips = [[_cut_z(rng, w) for w in row] for row in rows]
+        deep, cut, other = ([[e[i] for e in row] for row in trips]
+                            for i in range(3))
+        shallow = _answer(lambda: laurent_span_dim(cut))
+        if shallow is not None:
+            seen.add(shallow[1] < min(nrows, ncols))
+        else:
+            seen.add(None)
+        _compare_answers(shallow, _answer(lambda: laurent_span_dim(deep)),
+                         _answer(lambda: laurent_span_dim(other)),
+                         shortfalls)
+    assert {None, True, False} <= seen
+    assert len(shortfalls) >= 300
+    _record(record_testsuite_property, "laurent_span_dim", shortfalls)

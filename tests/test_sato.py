@@ -9,6 +9,7 @@ from opcurve.exactcore import (
     DomainError,
     ExactError,
     Matrix,
+    PrecisionError,
     XSeries,
     ZLaurent,
     min_prec,
@@ -156,6 +157,15 @@ def test_fredholm_golden_mixed():
 def test_degenerate_frame_rejected():
     pt = GrassPoint(1, [(ZLaurent.one(),), (ZLaurent.constant(2),)], 2)
     with pytest.raises(DomainError):
+        pt.fredholm_report()
+
+
+def test_windowed_columns_dependent_on_their_windows_are_not_rejected():
+    # 1 + O(z^3) and 2 + O(z^3) agree up to a factor on their windows,
+    # but the coordinates above z^2 may make them independent
+    pt = GrassPoint(1, [(ZLaurent.one().truncate(2),),
+                        (ZLaurent.constant(2, prec=2),)], 2)
+    with pytest.raises(PrecisionError):
         pt.fredholm_report()
 
 
