@@ -17,9 +17,9 @@ the window cannot distinguish a dependent row from an undetected one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, inf
+from itertools import chain
+from math import gcd, inf, lcm
 
 from .exactcore import (
     DimensionError,
@@ -203,7 +203,9 @@ def semigroup_report(orders) -> SemigroupReport:
     if conductor > MAX_CONDUCTOR:
         raise DomainError(f"conductor {conductor} exceeds "
                           f"MAX_CONDUCTOR = {MAX_CONDUCTOR}")
-    gaps = [k for k in range(1, conductor) if k < apery[k % lead]]
+    # the gaps of residue class c are c, c + a, ... below Ap[c]
+    gaps = sorted(chain.from_iterable(range(c, apery[c], lead)
+                                      for c in range(1, lead)))
     return SemigroupReport(generators, r, reduced, conductor, gaps, bound)
 
 
@@ -350,16 +352,18 @@ class FiltrationReport:
 
 
 def _constant_rows(flats):
-    # Flattened exact matrices as rows over the rationals, one column
-    # per (entry position, exponent) pair that occurs anywhere.
+    # Flattened exact matrices as integer rows, one column per (entry
+    # position, exponent) pair that occurs anywhere, each row scaled by
+    # the lcm of its entries' denominators.
     cols = sorted({(idx, e) for flat in flats
                    for idx, z in enumerate(flat) for e in z.support()})
     pos = {c: i for i, c in enumerate(cols)}
     out = []
     for flat in flats:
-        v = [Fraction(0)] * len(cols)
+        den = lcm(*[z.denominator for z in flat])
+        v = [0] * len(cols)
         for idx, z in enumerate(flat):
-            for e, c in z.items():
+            for e, c in z.scaled_items(den):
                 v[pos[(idx, e)]] = c
         out.append(v)
     return out
@@ -405,7 +409,10 @@ def filtration_piece(spec: AlgebraSpec, bound: int) -> FiltrationReport:
             monos.append((nxt, g * mat))
     monos.sort(key=lambda t: (sum(t[0]), t[0]))
     # the pivot columns of an echelon form are the in-order greedy
-    # independent set, so one rref of the transpose picks the basis
+    # independent set, so one rref of the transpose picks the basis.
+    # Scaling a row of _constant_rows scales a column of the transpose,
+    # and scaling a column by a nonzero factor keeps the pivot columns,
+    # so the integer rows pick the same monomials.
     rows = _constant_rows([_flatten(mat) for _, mat in monos])
     picked = [monos[i][0] for i in rref([list(c) for c in zip(*rows)])[1]]
     return FiltrationReport(bound, len(picked), picked)

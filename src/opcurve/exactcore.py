@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice, repeat, zip_longest
 from math import gcd, inf, isqrt, lcm, perm
+from operator import mul
 
 
 # Default windows for interactive work.  Library operations derive their
@@ -283,25 +284,19 @@ class _Series:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _product(self, o, prec):
-        """self * o by integer convolution, cut at the window prec.  Only
-        pairs of nonzero numerators are visited, so a sparse factor costs
-        its terms, not its span."""
+    def _product(self, o):
+        """self * o by integer convolution, cut at its _window."""
+        prec = self._window(o)
         a, b = self._num, o._num
         lo = self._lo + o._lo
         n = len(a) + len(b) - 1
-        if prec is not None:
+        if prec != inf:
             n = min(n, prec + self._END - lo)
-        n = max(n, 0)
-        cs = [0] * n
-        nb = [(j, y) for j, y in enumerate(b[:n]) if y]
-        for i, x in enumerate(a[:n]):
-            if x:
-                for j, y in nb:
-                    if i + j >= n:
-                        break
-                    cs[i + j] += x * y
-        return self._make(lo, cs, self._den * o._den, prec)
+        cs = [0] * max(n, 0)
+        if a and b:
+            _convolve(cs, a, b, 0, 1)
+        return self._make(lo, cs, self._den * o._den,
+                          None if prec == inf else prec)
 
     @staticmethod
     def _inverse_num(a, den, n):
@@ -413,15 +408,18 @@ class XSeries(_Series):
 
     # -- arithmetic --------------------------------------------------
 
+    def _window(self, o):
+        """The window of self * o, inf for exact."""
+        if self.exact and not self._num or o.exact and not o._num:
+            # an exact zero factor keeps the product exactly zero
+            return inf
+        return min(_prec_key(self.prec), _prec_key(o.prec))
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.exact and not self._num or o.exact and not o._num:
-            # an exact zero factor keeps the product exactly zero
-            return XSeries.zero()
-        prec = min(_prec_key(self.prec), _prec_key(o.prec))
-        return self._product(o, None if prec == inf else prec)
+        return self._product(o)
 
     __rmul__ = __mul__
 
@@ -545,15 +543,18 @@ class ZLaurent(_Series):
 
     # -- arithmetic --------------------------------------------------
 
+    def _window(self, o):
+        """The window of self * o, inf for exact.  The product coefficient
+        at k is certain only when every split k = i + j draws on
+        guaranteed coefficients of both factors."""
+        return min(_prec_key(self.prec) + o.low_bound(),
+                   _prec_key(o.prec) + self.low_bound())
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # The product coefficient at k is certain only when every split
-        # k = i + j draws on guaranteed coefficients of both factors.
-        prec = min(_prec_key(self.prec) + o.low_bound(),
-                   _prec_key(o.prec) + self.low_bound())
-        return self._product(o, None if prec == inf else int(prec))
+        return self._product(o)
 
     __rmul__ = __mul__
 
@@ -596,6 +597,48 @@ class ZLaurent(_Series):
                 raise PrecisionError("window too small to invert at this valuation")
         num, den = self._inverse_num(self._num, self._den, n)
         return ZLaurent._make(-v, num, den, prec)
+
+
+def _convolve(cs, a, b, off, f):
+    """Add f times the product of the numerators a and b into cs, a[i] b[j]
+    at cs[off + i + j], dropping what falls past its end.  Only nonzero
+    terms are visited, so a sparse factor costs its terms, not its span."""
+    n = len(cs)
+    m = max(n - off, 0)
+    nb = [(j, y) for j, y in enumerate(b[:m], off) if y]
+    if f != 1:
+        nb = [(j, y * f) for j, y in nb]
+    for i, x in enumerate(a[:m]):
+        if x:
+            for j, y in nb:
+                if i + j >= n:
+                    break
+                cs[i + j] += x * y
+
+
+def _product_sum(pairs):
+    """The sum of a * b over the (a, b) in pairs, series of one type.
+
+    Each product is known on its _window, and the sum below the least of
+    those windows.  Pairs with a zero numerator add nothing; the others
+    are convolved into one integer list over the lcm of the a._den * b._den.
+    """
+    # a product of two exact factors is exact
+    prec = min([a._window(b) for a, b in pairs
+                if a.prec is not None or b.prec is not None], default=inf)
+    live = [(a, b) for a, b in pairs if a._num and b._num]
+    lo = min([a._lo + b._lo for a, b in live], default=0)
+    hi = max([a._lo + b._lo + len(a._num) + len(b._num) - 1
+              for a, b in live], default=0)
+    cls = type(pairs[0][0])
+    if prec != inf:
+        hi = min(hi, prec + cls._END)
+    den = lcm(*[a._den * b._den for a, b in live])
+    cs = [0] * max(hi - lo, 0)
+    for a, b in live:
+        _convolve(cs, a._num, b._num, a._lo + b._lo - lo,
+                  den // (a._den * b._den))
+    return cls._make(lo, cs, den, None if prec == inf else prec)
 
 
 def xd_action(parts, prec=None) -> ZLaurent:
@@ -759,21 +802,19 @@ class Matrix:
         return self.map(lambda e: -e)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if other.n != self.n:
-                raise DimensionError("matrix sizes differ")
-            n = self.n
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.rows[i][0] * other.rows[0][j]
-                    for k in range(1, n):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
-        return NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if other.n != self.n:
+            raise DimensionError("matrix sizes differ")
+        cols = list(zip(*other.rows))
+        kinds = {type(e) for m in (self, other) for row in m.rows for e in row}
+        if kinds in ({XSeries}, {ZLaurent}):
+            # each entry is one integer list: the exact zeros of sparse
+            # factors cost nothing, and no partial sum is built
+            return Matrix([[_product_sum(list(zip(row, col))) for col in cols]
+                           for row in self.rows])
+        return Matrix([[sum(map(mul, row, col)) for col in cols]
+                       for row in self.rows])
 
     def trace(self):
         acc = self.rows[0][0]

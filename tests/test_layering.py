@@ -22,8 +22,8 @@ from opcurve.exactcore import XSeries, ZLaurent
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "opcurve"
 STORAGE_ATTRS = {"coeffs", "_lo", "_num", "_den", "_fracs", "_view",
-                 "_make", "_set", "_product", "_inverse_num", "_low_bound",
-                 "_at"}
+                 "_make", "_set", "_product", "_window", "_inverse_num",
+                 "_low_bound", "_at"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "exactcore.py")
 
 

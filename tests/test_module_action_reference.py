@@ -1,8 +1,9 @@
 """sato.module_action and MatrixPsiDO.to_laurent against the Fraction
 implementations they replaced, and the window soundness of module_action,
 to_laurent, compose, divide_dressing, dress_to_constant, rth_root,
-point_from_dressing, GrassPoint.fredholm_report and
-curvedata.laurent_span_dim.
+point_from_dressing, GrassPoint.fredholm_report,
+curvedata.laurent_span_dim and products of XSeries and of ZLaurent
+matrices.
 
 ref_module_action below is the former module_action, kept as an oracle:
 each part s(x) D^m w went through _scalar_action, a dict of Fraction
@@ -702,3 +703,54 @@ def test_laurent_span_dim_claims_only_what_inputs_justify(
     assert {None, True, False} <= seen
     assert len(shortfalls) >= 300
     _record(record_testsuite_property, "laurent_span_dim", shortfalls)
+
+
+def _x_entry(rng):
+    """A deep XSeries entry, its cut and a second completion of the cut:
+    exact, windowed, exact zero, or zero only on its window."""
+    u = rng.random()
+    if u < 0.15:
+        zero = XSeries.zero()
+        return zero, zero, zero
+    if u < 0.3:
+        w = rng.randint(1, 4)
+        deep = XSeries([0] * w + _fresh(rng, DEEP - w), DEEP)
+        other = XSeries([0] * w + _fresh(rng, DEEP - w), DEEP)
+        return deep, deep.truncate(w), other
+    return _cut_x(rng, _deep_x(rng))
+
+
+def _z_entry(rng):
+    """A deep ZLaurent entry, its cut and a second completion of the cut;
+    _cut_z may cut below the valuation, leaving a zero on a window."""
+    if rng.random() < 0.15:
+        zero = ZLaurent.zero()
+        return zero, zero, zero
+    return _cut_z(rng, _deep_z(rng))
+
+
+def test_matrix_product_claims_only_what_inputs_justify(
+        record_testsuite_property):
+    rng = random.Random("sound-matrix-product")
+    for name, entry in (("matrix_product_x", _x_entry),
+                        ("matrix_product_z", _z_entry)):
+        shortfalls = []
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            a, b = ([[entry(rng) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            deep, cut, other = (
+                Matrix([[e[i] for e in row] for row in a])
+                * Matrix([[e[i] for e in row] for row in b])
+                for i in range(3))
+            for s, da, db in zip(*(m.rows for m in (cut, deep, other))):
+                for es, ea, eb in zip(s, da, db):
+                    if entry is _z_entry:
+                        _compare(es, ea, eb, shortfalls)
+                        continue
+                    _x_claims_hold(es, ea)
+                    _x_claims_hold(es, eb)
+                    if es.prec is not None:
+                        shortfalls.append(_x_determined(ea, eb) - es.prec)
+        assert len(shortfalls) >= 300
+        _record(record_testsuite_property, name, shortfalls)
