@@ -23,13 +23,14 @@ from .exactcore import (
     ZLaurent,
     min_prec,
 )
-from .psidocalc import MatrixPsiDO, commutator, rth_root
+from .psidocalc import MatrixPsiDO, commutator, invert_dressing, rth_root
 from .sato import (
     GrassPoint,
     is_differential_by_action,
     point_from_dressing,
     dressing_from_point,
     stabilizes,
+    to_laurent,
 )
 from .curvedata import (
     AlgebraSpec,
@@ -244,7 +245,7 @@ def _cmd_pdo_split(env, args):
 
 def _cmd_pdo_rho(env, args):
     op = _as_pdo(_operand(env, args.a))
-    mat = op.to_laurent()
+    mat = to_laurent(op)
     value = mat.rows[0][0] if mat.n == 1 else mat
     return _value_result(env, args, value)
 
@@ -394,10 +395,12 @@ def _cmd_curve_condition21(env, args):
 # -- pipeline verbs --------------------------------------------------
 
 
-def _forward_obj(res):
+def _forward_obj(env, res):
+    # the forward pipeline needs no S^-1; the JSON still reports it
+    inverse = invert_dressing(res.dressing, depth=env.ctx["depth"])
     return {
         "dressing": _tagged(res.dressing),
-        "inverse": _tagged(res.inverse),
+        "inverse": _tagged(inverse),
         "operators": [_tagged(op) for op in res.operators],
         "differential": list(res.differential),
         "commuting": res.commuting,
@@ -419,7 +422,7 @@ def _cmd_pipeline_forward(env, args):
     res = geometric_to_operators(pt, spec, depth=env.ctx["depth"],
                                  nx=env.ctx["xprec"],
                                  window=env.ctx["depth"])
-    return EXIT_OK, _forward_lines(res), _forward_obj(res)
+    return EXIT_OK, _forward_lines(res), _forward_obj(env, res)
 
 
 def _backward_obj(res):
@@ -480,7 +483,7 @@ def _cmd_pipeline_roundtrip(env, args):
     lines = _forward_lines(fwd)
     lines.append("recovered charpoly: " + str(back.charpoly_str))
     lines.append("round trip closed: " + ("yes" if equal else "no"))
-    obj = {"equal": equal, "forward": _forward_obj(fwd),
+    obj = {"equal": equal, "forward": _forward_obj(env, fwd),
            "backward": _backward_obj(back)}
     return (EXIT_OK if equal else EXIT_FAIL), lines, obj
 

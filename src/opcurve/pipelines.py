@@ -12,8 +12,9 @@ The backward dressing is psidocalc.dress_to_constant, re-exported here.
 Its normalization fixes every integration constant to zero, so
 recursion results are canonical; a monic operator whose subleading
 coefficient does not vanish has no dressing of this normalized shape
-and is rejected rather than silently renormalized.  The constants C_i
-are read off P_i o S = S o C_i by psidocalc.divide_dressing, without S^-1.
+and is rejected rather than silently renormalized.  Neither direction
+forms S^-1: psidocalc.divide_dressing reads the constants C_i off
+P_i o S = S o C_i, and each forward operator L off L o S = S o G.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .psidocalc import (
     commutator,
     divide_dressing,
     dress_to_constant,
-    invert_dressing,
     order_and_monicity,
 )
 from .sato import (
@@ -38,6 +38,7 @@ from .sato import (
     point_from_dressing,
     points_equal,
     stabilizes,
+    to_laurent,
 )
 from .curvedata import (
     AlgebraSpec,
@@ -95,15 +96,14 @@ def verify_commutative(ops) -> VerifyReport:
 class ForwardResult:
     """Operators dressed from a frame and its stabilizing algebra."""
 
-    __slots__ = ("point", "spec", "dressing", "inverse", "operators",
-                 "differential", "commuting")
+    __slots__ = ("point", "spec", "dressing", "operators", "differential",
+                 "commuting")
 
-    def __init__(self, point, spec, dressing, inverse, operators,
-                 differential, commuting):
+    def __init__(self, point, spec, dressing, operators, differential,
+                 commuting):
         self.point = point
         self.spec = spec
         self.dressing = dressing
-        self.inverse = inverse
         self.operators = operators
         self.differential = differential
         self.commuting = commuting
@@ -140,12 +140,12 @@ def geometric_to_operators(point: GrassPoint, spec: AlgebraSpec,
             raise DomainError(f"generator {i} does not map the frame span "
                               "into itself")
     s = dressing_from_point(point, depth=depth, nx=nx)
-    t = invert_dressing(s, depth=window)
-    operators = [s * MatrixPsiDO.from_laurent(g) * t for g in gens]
+    # L = S o G o S^-1 solves L o S = S o G
+    operators = [divide_dressing(s, s * MatrixPsiDO.from_laurent(g), window,
+                                 right=True) for g in gens]
     differential = [op.split()[1].is_zero() for op in operators]
     commuting = verify_commutative(operators).ok
-    return ForwardResult(point, spec, s, t, operators, differential,
-                         commuting)
+    return ForwardResult(point, spec, s, operators, differential, commuting)
 
 
 class BackwardResult:
@@ -235,7 +235,7 @@ def operators_to_geometric(ops, depth=None) -> BackwardResult:
         if not c.is_constant_coefficient():
             raise DomainError(f"operator {i} does not conjugate to "
                               "constant coefficients under the dressing")
-        constants.append(c.to_laurent())
+        constants.append(to_laurent(c))
     n = ops[0].n
     spec = AlgebraSpec(n, constants)
     semi = semigroup_report([matrix_order(g) for g in constants])

@@ -19,16 +19,17 @@ beside each coefficient of a right factor, so a solve reads it once per
 coefficient rather than once per degree.  compose(),
 divide_dressing(), dress_to_constant() and rth_root() are its only
 callers; the last three solve for one new coefficient per degree from the
-ones before it (divide_dressing() reads S^-1 o A off S o X = A, and
-invert_dressing() is its case A = I).  In compose() the sum is truncated
-by two effects:
+ones before it.  divide_dressing() reads S^-1 o A off S o X = A, as the
+backward pipeline does for its constants, or A o S^-1 off X o S = A, as
+the forward pipeline does for its operators; invert_dressing() is its
+case A = I.  In compose() the sum is truncated by two effects:
 
 * degrees below the derived window floor are dropped as untracked, and
 * a term whose x-precision is exhausted poisons every lower degree.
 
 The degree floor of a product is max(lo(P) + order(Q), order(P) + lo(Q)),
 because the untracked tail of one factor meets the top term of the other
-there; divide_dressing() keeps both rules for S^-1 o A.
+there; divide_dressing() keeps both rules for S^-1 o A and A o S^-1.
 
 An operator with lo=None is exactly known: all degrees below its lowest
 stored term are exactly zero, which is what makes constant-coefficient
@@ -307,25 +308,6 @@ class MatrixPsiDO:
                             self.lo)
         return plus, minus
 
-    # -- the constant-coefficient projection --------------------------
-
-    def to_laurent(self) -> Matrix:
-        """Right-normalize, evaluate coefficients at x = 0, map D^m to z^-m.
-
-        Column l is the module action on the unit column e_l, with D read
-        as z^-1 and x as z^2 d/dz: x^j z^-m = (-1)^j binom(m, j) j!
-        z^(j-m), the right coefficient that a D^m = sum_j (-1)^j
-        binom(m, j) D^(m-j) a^(j) picks up at z^(j-m) from [x^j]a.  The
-        entry windows are sato.module_action's: where the operator's
-        untracked tail or an exhausted x-precision stops the guarantee.
-        """
-        # sato imports this module, so the import waits for the call
-        from .sato import basis_column, module_action
-
-        cols = [module_action(self, basis_column(l, self.n))
-                for l in range(self.n)]
-        return Matrix(zip(*cols))
-
     # -- comparison and display ---------------------------------------
 
     def __eq__(self, other):
@@ -431,15 +413,18 @@ def is_dressing(s: MatrixPsiDO) -> bool:
     return s.coeff(0) == Matrix.identity(s.n, XSeries.one())
 
 
-def divide_dressing(s: MatrixPsiDO, a: MatrixPsiDO, depth: int) -> MatrixPsiDO:
-    """X = S^-1 o A for a dressing S, with S^-1 tracked to degree -depth.
+def divide_dressing(s: MatrixPsiDO, a: MatrixPsiDO, depth: int,
+                    right: bool = False) -> MatrixPsiDO:
+    """X = S^-1 o A for a dressing S, or A o S^-1 when right, with S^-1
+    tracked to degree -depth.
 
     Comparing D^deg in S o X = A gives s_0 x_deg = a_deg minus the Leibniz
-    sum of the s_m x_k^(j) with m < 0, which draws only on x_k with
-    k > deg; so each x_deg follows from the ones above it, with s_0^-1
-    the identity cut at the window of s_0.  A needed derivative beyond
-    x-precision leaves that degree and every lower one unknown, as in
-    compose().
+    sum of the s_m x_k^(j) with m < 0; in X o S = A, x_deg s_0 = a_deg
+    minus the sum of the other x_k s_m^(j), whose derivatives fall on S,
+    s_0 among them.  Both draw only on x_k with k > deg, so each x_deg
+    follows from the ones above it, with s_0^-1 the identity cut at the
+    window of s_0.  A needed derivative beyond x-precision leaves that
+    degree and every lower one unknown, as in compose().
     """
     if not is_dressing(s):
         raise DomainError("not a dressing operator: expected I + lower-degree terms")
@@ -449,36 +434,38 @@ def divide_dressing(s: MatrixPsiDO, a: MatrixPsiDO, depth: int) -> MatrixPsiDO:
     p = min_prec(e for row in s.coeff(0).rows for e in row)
     t0 = ident if p is None else ident.map(lambda e: e.truncate(p))
     svals = {m: mat for m, mat in s.terms.items() if m < 0}
-    if s.lo is None and not svals:
-        # exact in degree when A is; any other S^-1 has terms at every
-        # depth, even where the computed ones vanish (1 + D^-2 has t_-1 = 0)
+    if s.lo is None and not svals and (p is None or not right):
+        # a lone s_0 divides degree by degree, on the right only if exact;
+        # any other S^-1 has terms at every depth (1 + D^-2 has t_-1 = 0)
         return MatrixPsiDO(n, {m: t0 * mat for m, mat in a.terms.items()},
                            a.lo)
     top = max(a.terms) if a.terms else (None if a.lo is None else a.lo - 1)
     if top is None:
         return MatrixPsiDO(n, {})
-    # X = T o A for T = S^-1, whose degrees run from 0 down to
-    # lo(T) = max(-depth, lo(S)): T is solved to degree -depth, and a term
-    # s_m that S does not track (m < lo(S)) first enters T at degree m.
-    # x_deg draws on the t_k a_l with k + l >= deg, down to t_(deg-top(A))
-    # and to t_0 a_deg, so it is known while deg >= lo(T) + top(A) and
-    # deg >= lo(A): compose's floor max(lo(T) + top(A), top(T) + lo(A))
-    # for T o A.
+    # X = T o A or A o T for T = S^-1, whose degrees run from top(T) = 0
+    # down to lo(T) = max(-depth, lo(S)): T is solved to degree -depth, and
+    # a term s_m that S does not track (m < lo(S)) first enters T at degree
+    # m.  Either way x_deg draws on t_k and a_l with k + l >= deg, down to
+    # t_(deg-top(A)) and to t_0 a_deg, so it is known down to compose's
+    # floor max(lo(T) + top(A), top(T) + lo(A)), the same for both orders.
     floor = top - depth
     if s.lo is not None:
         floor = max(floor, s.lo + top)
     if a.lo is not None:
         floor = max(floor, a.lo)
     terms = _Terms()
+    # on the right the derivatives fall on S, s_0 too (an exact I has end 1)
+    factors = ((terms, _Terms({0: s.coeff(0), **svals})) if right
+               else (svals, terms))
     for deg in range(top, floor - 1, -1):
         try:
-            acc = _leibniz_coeff(n, svals, terms, deg)
+            acc = _leibniz_coeff(n, *factors, deg)
         except PrecisionError:
             floor = deg + 1
             break
         b = a.terms.get(deg)
         rhs = -acc if b is None else b - acc
-        terms[deg] = rhs if p is None else t0 * rhs
+        terms[deg] = rhs if p is None else (rhs * t0 if right else t0 * rhs)
     return MatrixPsiDO(n, terms, floor)
 
 

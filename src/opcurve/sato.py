@@ -47,6 +47,7 @@ __all__ = [
     "point_from_dressing",
     "points_equal",
     "stabilizes",
+    "to_laurent",
     "x_action",
 ]
 
@@ -97,6 +98,15 @@ def module_action(op: MatrixPsiDO, vec):
                 parts.append((s, m, w))
         out.append(xd_action(parts, None if cap == inf else cap))
     return tuple(out)
+
+
+def to_laurent(op: MatrixPsiDO) -> Matrix:
+    """The constant-coefficient projection: right-normalize op, evaluate
+    at x = 0 and map D^m to z^-m.  Column l is the module action on the
+    unit column e_l, so a D^m gives (-1)^j binom(m, j) j! [x^j]a at
+    z^(j-m), and the entry windows are module_action's."""
+    cols = [module_action(op, basis_column(l, op.n)) for l in range(op.n)]
+    return Matrix(zip(*cols))
 
 
 def x_action(vec):

@@ -408,6 +408,33 @@ def test_pipeline_backward_matches_golden_bytes(capsys, name, as_json):
     assert capsys.readouterr().out == expected
 
 
+FORWARD_GOLDEN = {
+    "forward_dressed_line": "forward",
+    "roundtrip_dressed_line": "roundtrip",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_GOLDEN))
+@pytest.mark.parametrize("as_json", [False, True])
+def test_pipeline_forward_on_a_dressed_frame_matches_golden_bytes(
+        capsys, tmp_path, name, as_json):
+    # recorded when each operator was still formed as S o G o S^-1 with
+    # S^-1 inverted in the pipeline; the JSON keeps the "inverse" field
+    path = str(tmp_path / "s.json")
+    assert main(["--session", path, "grass", "from-dressing", "1 + Dx^-1",
+                 "--store", "W"]) == 0
+    capsys.readouterr()
+    argv = ["--session", path, "--depth", "2", "--x-prec", "1", "pipeline",
+            FORWARD_GOLDEN[name], "W", "z^-2", "z^-3"]
+    if as_json:
+        argv.insert(0, "--json")
+    expected = (GOLDEN / (name + (".json" if as_json else ".txt"))).read_text()
+    # the constant dressing 1 + D^-1 carries no x, so the backward half
+    # recovers the standard frame and the round trip does not close
+    assert main(argv) == (0 if name.startswith("forward") else 1)
+    assert capsys.readouterr().out == expected
+
+
 def test_pipeline_backward_depth_zero(capsys):
     # at depth 0 the dressing is the identity and the frame is the
     # standard span, whose counts are certified

@@ -23,6 +23,7 @@ import pytest
 from opcurve.exactcore import ExactError, Matrix, XSeries
 from opcurve.pipelines import dress_to_constant
 from opcurve.psidocalc import MatrixPsiDO, compose, invert_dressing, rth_root
+from opcurve.sato import to_laurent
 
 GOLDEN = Path(__file__).parent / "golden" / "leibniz_kernel.json"
 
@@ -140,9 +141,9 @@ def _cases():
         "root.degree_window": lambda: rth_root(
             op({2: 1, 1: xs(0, 1), 0: xs(1, 1, prec=6)}, lo=-1), 2, depth=5),
         "root.mixed_2x2": lambda: rth_root(mixed_2x2(), 2, depth=3),
-        "rho.windowed": lambda: op({1: xs(0, 1, 2, prec=4), 0: 1,
-                                    -2: xs(3, 0, 1)}, lo=-3).to_laurent(),
-        "rho.mixed_2x2": lambda: mixed_2x2(lo=-3).to_laurent(),
+        "rho.windowed": lambda: to_laurent(op({1: xs(0, 1, 2, prec=4), 0: 1,
+                                               -2: xs(3, 0, 1)}, lo=-3)),
+        "rho.mixed_2x2": lambda: to_laurent(mixed_2x2(lo=-3)),
     }
 
 

@@ -1,7 +1,7 @@
-"""sato.module_action and MatrixPsiDO.to_laurent against the Fraction
+"""sato.module_action and sato.to_laurent against the Fraction
 implementations they replaced, and the window soundness of module_action,
-to_laurent, compose, divide_dressing, dress_to_constant, rth_root,
-point_from_dressing, GrassPoint.fredholm_report,
+to_laurent, compose, divide_dressing on either side, dress_to_constant,
+rth_root, point_from_dressing, GrassPoint.fredholm_report,
 curvedata.laurent_span_dim and products of XSeries and of ZLaurent
 matrices.
 
@@ -49,7 +49,12 @@ from opcurve.psidocalc import (
     dress_to_constant,
     rth_root,
 )
-from opcurve.sato import GrassPoint, module_action, point_from_dressing
+from opcurve.sato import (
+    GrassPoint,
+    module_action,
+    point_from_dressing,
+    to_laurent,
+)
 
 
 def _scalar_action(s, m, w):
@@ -194,7 +199,7 @@ def test_to_laurent_matches_fraction_reference():
         lo = None if rng.random() < 0.5 else min(degs) - rng.randint(0, 2)
         seen.add(("n", n, lo is None))
         op = MatrixPsiDO(n, terms, lo)
-        got, want = op.to_laurent(), ref_to_laurent(op)
+        got, want = to_laurent(op), ref_to_laurent(op)
         for a, b in zip(got.rows, want.rows):
             assert [repr(e) for e in a] == [repr(e) for e in b]
             assert [e.prec for e in a] == [e.prec for e in b]
@@ -345,7 +350,7 @@ def test_to_laurent_claims_only_what_inputs_justify(
         n = rng.randint(1, 3)
         cut, deep, other = _cut_operator(
             rng, n, rng.sample(range(-6, 6), rng.randint(1, 4)))
-        for s, a, b in zip(*(op.to_laurent().rows
+        for s, a, b in zip(*(to_laurent(op).rows
                              for op in (cut, deep, other))):
             for entries in zip(s, a, b):
                 _compare(*entries, shortfalls)
@@ -494,12 +499,21 @@ def _series_inverse(m):
     return Matrix([[d * idet, -b * idet], [-c * idet, a * idet]])
 
 
-def _divided(s0, s_rest, a, depth):
-    """X with S o X = A for S = s0 + s_rest: the deep reference divides
-    u S, a dressing, into u A, with u = s0^-1."""
+def _divided(s0, s_rest, a, depth, right):
+    """X with S o X = A, or X o S = A when right, for S = s0 + s_rest:
+    the deep reference divides u S into u A, or A u by S u, with
+    u = s0^-1, so that it divides by a dressing."""
     u = MatrixPsiDO(s0.n, {0: _series_inverse(s0)})
     s = MatrixPsiDO(s0.n, {0: s0, **s_rest.terms})
-    return divide_dressing(u * s, u * a, depth)
+    if not right:
+        return divide_dressing(u * s, u * a, depth)
+    if u.xprec() is not None and a.terms:
+        # the derivatives of a windowed u run S u and A u some DEEP
+        # degrees down, but the division reads them only down to degrees
+        # -depth and top(A) - depth, where its floor lies either way
+        s = MatrixPsiDO(s.n, s.terms, -depth)
+        a = MatrixPsiDO(a.n, a.terms, max(a.terms) - depth)
+    return divide_dressing(s * u, a * u, depth, right=True)
 
 
 def _x_agree(shallow, deep):
@@ -515,9 +529,11 @@ def _x_agree(shallow, deep):
 
 def test_divide_dressing_claims_only_what_inputs_justify(
         record_testsuite_property):
+    # both sides on the same seeded cases: S o X = A, and X o S = A, where
+    # the derivatives fall on S, s_0 among them
     rng = random.Random("sound-divide-dressing")
-    shortfalls = []
-    claimed = 0
+    shortfalls = {False: [], True: []}
+    claimed = {False: 0, True: 0}
     for _ in range(120):
         n = rng.choice([1, 2])
         s0_deep, s0_cut, s0_other = _identity_cut(rng, n)
@@ -526,26 +542,30 @@ def test_divide_dressing_claims_only_what_inputs_justify(
         a_cut, a_deep, a_other = _cut_operator(
             rng, n, rng.sample(range(-2, 3), rng.randint(1, 2)))
         depth = rng.randint(0, 4)
-        shallow = divide_dressing(
-            MatrixPsiDO(n, {0: s0_cut, **s_cut.terms}, s_cut.lo), a_cut,
-            depth)
-        deep_a = _divided(s0_deep, s_deep, a_deep, depth + 4)
-        deep_b = _divided(s0_other, s_other, a_other, depth + 4)
-        # every degree the shallow quotient tracks, stored or exactly zero
-        degs = set(shallow.terms) | set(deep_a.terms) | set(deep_b.terms)
-        for m in sorted(degs):
-            if shallow.lo is not None and m < shallow.lo:
-                continue
-            claimed += 1
-            for s, a, b in zip(*(op.coeff(m).rows
-                                 for op in (shallow, deep_a, deep_b))):
-                for es, ea, eb in zip(s, a, b):
-                    _x_agree(es, ea)
-                    _x_agree(es, eb)
-                    if es.prec is not None:
-                        shortfalls.append(_x_determined(ea, eb) - es.prec)
-    assert claimed >= 120
-    _record(record_testsuite_property, "divide_dressing", shortfalls)
+        for right in (False, True):
+            shallow = divide_dressing(
+                MatrixPsiDO(n, {0: s0_cut, **s_cut.terms}, s_cut.lo),
+                a_cut, depth, right=right)
+            deep_a = _divided(s0_deep, s_deep, a_deep, depth + 4, right)
+            deep_b = _divided(s0_other, s_other, a_other, depth + 4, right)
+            # every degree the shallow quotient tracks, stored or exact zero
+            degs = set(shallow.terms) | set(deep_a.terms) | set(deep_b.terms)
+            for m in sorted(degs):
+                if shallow.lo is not None and m < shallow.lo:
+                    continue
+                claimed[right] += 1
+                for s, a, b in zip(*(op.coeff(m).rows
+                                     for op in (shallow, deep_a, deep_b))):
+                    for es, ea, eb in zip(s, a, b):
+                        _x_agree(es, ea)
+                        _x_agree(es, eb)
+                        if es.prec is not None:
+                            shortfalls[right].append(
+                                _x_determined(ea, eb) - es.prec)
+    assert min(claimed.values()) >= 120
+    _record(record_testsuite_property, "divide_dressing", shortfalls[False])
+    _record(record_testsuite_property, "divide_dressing_right",
+            shortfalls[True])
 
 
 def _monic_triple(rng, n, r, degs, blind):

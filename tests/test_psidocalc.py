@@ -23,6 +23,7 @@ from opcurve.psidocalc import (
     order_and_monicity,
     rth_root,
 )
+from opcurve.sato import to_laurent
 
 
 # -- an independent oracle for differential-operator composition ------
@@ -278,20 +279,20 @@ def test_order_and_monicity():
 def test_projection_of_x_d():
     # x D right-normalizes to D x - 1, so the projection is -1
     p = MatrixPsiDO.from_scalars({1: XSeries.x()})
-    img = p.to_laurent()
+    img = to_laurent(p)
     assert img.rows[0][0] == ZLaurent.constant(-1)
 
 
 def test_projection_of_x2_d2():
     # x^2 D^2 = D^2 x^2 - 4 D x + 2 in right-normal form
     p = MatrixPsiDO.from_scalars({2: XSeries([0, 0, 1])})
-    img = p.to_laurent()
+    img = to_laurent(p)
     assert img.rows[0][0] == ZLaurent.constant(2)
 
 
 def test_projection_of_powers():
     for m in (-3, -1, 0, 2):
-        img = MatrixPsiDO.d(m).to_laurent()
+        img = to_laurent(MatrixPsiDO.d(m))
         assert img.rows[0][0] == ZLaurent.monomial(-m)
 
 
@@ -300,7 +301,7 @@ def test_laurent_embedding_round_trip():
                 [ZLaurent.monomial(-1), ZLaurent.zero()]])
     op = MatrixPsiDO.from_laurent(j)
     assert op.degrees() == [0, 1]
-    back = op.to_laurent()
+    back = to_laurent(op)
     assert back == j
     # J^2 = z^-1 I becomes (embedded J)^2 = D * I
     sq = op * op
@@ -310,7 +311,7 @@ def test_laurent_embedding_round_trip():
 def test_projection_window_caps():
     # a truncated coefficient caps the guaranteed z-exponents
     p = MatrixPsiDO.from_scalars({-1: XSeries([1, 1], 2)})
-    img = p.to_laurent().rows[0][0]
+    img = to_laurent(p).rows[0][0]
     assert img.prec == 1 + 2 - 1  # -m + prec - 1
     assert img.coeff(1) == 1
     assert img.coeff(2) == -1 * -1  # (-1)^1 * falling(-1,1) * 1 = 1
@@ -355,6 +356,20 @@ def test_invert_keeps_the_window_of_s0():
     t = invert_dressing(s)
     assert t.lo is None and t.degrees() == [0]
     assert repr(scalar(t, 0)) == "XSeries(1 + O(x^3))"
+
+
+def test_right_division_by_a_windowed_s0_is_not_exact_in_degree():
+    # in X o S = D with S = 1 + O(x^2), x_0 = -x_1 s_0' is zero only below
+    # x^1: the derivative of s_0 reaches the degree below, so X is not
+    # D (1 + O(x^2)) alone, as it is on the left
+    s = MatrixPsiDO(1, {0: Matrix([[XSeries([1], 2)]])})
+    x = divide_dressing(s, MatrixPsiDO.d(1), 3, right=True)
+    assert x.lo == -2
+    assert repr(scalar(x, 1)) == "XSeries(1 + O(x^2))"
+    assert repr(scalar(x, 0)) == "XSeries(0 + O(x^1))"
+    assert scalar(x, -1).exact and scalar(x, -1).is_zero()
+    left = divide_dressing(s, MatrixPsiDO.d(1), 3)
+    assert left.lo is None and left.degrees() == [1]
 
 
 def _series_inverse_2x2(m, prec):
@@ -566,10 +581,15 @@ def _rand_operator(rng, n, degs, windowed):
 
 def test_divide_dressing_matches_compose_with_the_inverse():
     # S o X = A solved degree by degree must give S^-1 o A, with S^-1
-    # inverted at the same depth, on every entry, window and degree floor
+    # inverted at the same depth, on every entry, window and degree floor;
+    # X o S = A must give A o S^-1 wherever S and A are exact in x.  On
+    # x-windows the right division may stop at another floor, because its
+    # derivatives fall on S instead of S^-1: the soundness harness of
+    # test_module_action_reference.py checks those claims
     rng = random.Random(1414)
     seen = set()
     compared = 0
+    right_seen = set()
     for _ in range(1500):
         n = rng.choice([1, 2])
         windowed = rng.random() < 0.6
@@ -592,5 +612,10 @@ def test_divide_dressing_matches_compose_with_the_inverse():
                 == _outcome(lambda: compose(t, a)))
         compared += 1
         seen.add((n, windowed, s0_windowed, s.lo is None, a.lo is None))
+        if not windowed and not s0_windowed:
+            assert (_outcome(lambda: divide_dressing(s, a, depth, right=True))
+                    == _outcome(lambda: compose(a, t)))
+            right_seen.add((n, s.lo is None, a.lo is None, min(s.terms) < 0))
     assert compared >= 1000
     assert len(seen) == 32
+    assert len(right_seen) == 16
