@@ -24,10 +24,11 @@ outside the guaranteed window raises PrecisionError instead of guessing.
 This module alone decides how coefficients are stored.  Every other
 module reads a series through its methods: coeff, items, support,
 is_zero, valuation/order, low_bound and degree_bound, or as integers
-over a common denominator through denominator and scaled_items.  The
-read-only coeffs attribute (a tuple of Fractions on XSeries, a dict of
-exponent -> nonzero Fraction on ZLaurent, both built on read) is there
-only for the benchmark and the tests.
+over a common denominator through denominator, scaled_items and
+x_power_items (the x^l actions on one Laurent series).  The read-only
+coeffs attribute (a tuple of Fractions on XSeries, a dict of exponent ->
+nonzero Fraction on ZLaurent, both built on read) is there only for the
+benchmark and the tests.
 """
 
 from __future__ import annotations
@@ -224,14 +225,20 @@ class _Series:
         an integer."""
         return self._den
 
-    def scaled_items(self, den: int):
-        """The nonzero (exponent, den * coefficient) pairs, exponents
-        increasing, as ints: den must be a multiple of the denominator,
-        and no Fraction is built."""
+    def _scale_to(self, den: int) -> int:
+        """den over the denominator, which den must be a positive
+        multiple of."""
         f, r = divmod(den, self._den)
         if r or f <= 0:
             raise DomainError(f"{den} is not a positive multiple of the "
                               f"denominator {self._den}")
+        return f
+
+    def scaled_items(self, den: int):
+        """The nonzero (exponent, den * coefficient) pairs, exponents
+        increasing, as ints: den must be a multiple of the denominator,
+        and no Fraction is built."""
+        f = self._scale_to(den)
         return [(k, x * f) for k, x in enumerate(self._num, self._lo) if x]
 
     def is_zero(self) -> bool:
@@ -679,6 +686,31 @@ def xd_action(parts, prec=None) -> ZLaurent:
                     break
                 cs[q + l - lo] += x * rise * y
     return ZLaurent._make(lo, cs, den, prec)
+
+
+def x_power_items(w: ZLaurent, nx: int, prec, den: int):
+    """The nonzero (l, e, den * [z^e] x^l w) for 0 <= l < nx and e <= prec
+    (None: every e), as ints, with x read as z^2 d/dz.
+
+    x^l z^q = q (q+1) ... (q+l-1) z^(q+l), so each numerator of w is
+    visited once and its rising factorial stepped across l, until it
+    vanishes (at l = 1 - q for q <= 0) or q + l passes prec.  den must be
+    a positive multiple of w's denominator, as for scaled_items.  The
+    caller owns the window: w's own is not read, and no series, gcd or
+    Fraction is made.
+    """
+    f = w._scale_to(den)
+    out = []
+    for q, y in enumerate(w._num, w._lo):
+        if not y:
+            continue
+        c = y * f  # den * [z^q] w times rise(q, l), from l = 0
+        for l in range(nx if prec is None else min(nx, prec - q + 1)):
+            out.append((l, q + l, c))
+            c *= q + l
+            if not c:
+                break
+    return out
 
 
 def _derivative_sum(parts) -> XSeries:

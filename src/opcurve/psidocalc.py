@@ -405,10 +405,14 @@ def order_and_monicity(p: MatrixPsiDO):
 
 
 def is_dressing(s: MatrixPsiDO) -> bool:
-    """Identity plus strictly negative degrees, within precision."""
+    """Identity plus strictly negative degrees, within precision.
+
+    Exact-zero coefficients are never stored, so a stored positive degree
+    is nonzero or zero only on its x-window; either way the inputs do not
+    make it vanish, and the operator is refused."""
     if s.lo is not None and s.lo > 0:
         return False
-    if any(m > 0 and not mat.is_zero() for m, mat in s.terms.items()):
+    if any(m > 0 for m in s.terms):
         return False
     return s.coeff(0) == Matrix.identity(s.n, XSeries.one())
 

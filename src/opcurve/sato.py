@@ -32,6 +32,7 @@ from .exactcore import (
     rref,  # unused here, but bench/test_bench.py reads sato.rref
     solve,
     solve_system,
+    x_power_items,
     xd_action,
 )
 from .psidocalc import MatrixPsiDO, is_dressing, invert_dressing
@@ -334,10 +335,11 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
 
     Each column w gives one equation per z-exponent e >= 1 in its window.
     The unknown coefficient of x^l D^-m at component p meets x^l acting
-    on z^m w_p, one exactcore.xd_action call cut at w's window; that
-    action only raises exponents, so w's window bounds the rows.  Every
-    row of w and its right-hand sides are read as integers over the lcm
-    of w's denominators (scaled_items), so no Fraction is built.  The
+    on z^m w_p.  One exactcore.x_power_items call per (m, p) gives every
+    l < nx at once, cut at w's window; the action only raises exponents,
+    so w's window bounds the rows.  Every row of w and its right-hand
+    sides are read as integers over the lcm of w's denominators
+    (x_power_items and scaled_items), so no Fraction is built.  The
     overdetermined system goes to exactcore.solve_system, which solves
     it modulo a prime and certifies the reconstructed solution exactly,
     and the rank it reports tells a unique solution from an
@@ -359,7 +361,6 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
 
     # the lhs rows depend only on the action data, so all n component
     # rows of the dressing share one solve with n right-hand sides
-    xs = [XSeries([0] * l + [1]) for l in range(nx)]
     rows = []
     rhs_rows = []
     for w in cols:
@@ -373,12 +374,11 @@ def dressing_from_point(point: GrassPoint, depth: int, nx: int) -> MatrixPsiDO:
         for m in range(1, depth + 1):
             for p, wp in enumerate(w):
                 zw = wp * ZLaurent.monomial(m)  # D^-m w_p = z^m w_p
-                for l, x in enumerate(xs):
-                    for e, c in xd_action([(x, 0, zw)], hi).scaled_items(den):
-                        if e >= 1:
-                            if e not in eqs:
-                                eqs[e] = [0] * nun
-                            eqs[e][unknown(m, l, p)] = c
+                for l, e, c in x_power_items(zw, nx, hi, den):
+                    if e >= 1:
+                        if e not in eqs:
+                            eqs[e] = [0] * nun
+                        eqs[e][unknown(m, l, p)] = c
         for e in sorted(eqs):
             rows.append(eqs[e])
             rhs_rows.append([-r.get(e, 0) for r in rhs])

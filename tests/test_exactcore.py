@@ -17,6 +17,8 @@ from opcurve.exactcore import (
     rref,
     solve,
     solve_system,
+    x_power_items,
+    xd_action,
 )
 
 
@@ -236,6 +238,53 @@ def test_scaled_items_match_items_sampled():
         a = rand_zlaurent(rng)
         den = a.denominator * rng.randint(1, 4)
         assert a.scaled_items(den) == [(k, c * den) for k, c in a.items()]
+
+
+def _x_power_reference(w, nx, prec, den):
+    """x_power_items by one xd_action call per l, read back through
+    scaled_items."""
+    return sorted((l, e, c) for l in range(nx)
+                  for e, c in xd_action([(XSeries([0] * l + [1]), 0, w)],
+                                        prec).scaled_items(den))
+
+
+def test_x_power_items_closed_form():
+    # x^l z^-2 = (-2)(-1)...(l-3) z^(l-2) vanishes from l = 3 on
+    assert x_power_items(ZLaurent.monomial(-2), 6, None, 1) == [
+        (0, -2, 1), (1, -1, -2), (2, 0, 2)]
+    w = ZLaurent({1: Fraction(1, 2), 3: Fraction(-1, 3)}, prec=4)
+    assert x_power_items(w, 3, None, 12) == [
+        (0, 1, 6), (1, 2, 6), (2, 3, 12), (0, 3, -4), (1, 4, -12),
+        (2, 5, -48)]
+    # w's own window is not read; prec cuts the exponents
+    assert x_power_items(w, 3, 3, 6) == [(0, 1, 3), (1, 2, 3), (2, 3, 6),
+                                         (0, 3, -2)]
+    assert x_power_items(w, 3, 0, 6) == []
+    assert x_power_items(ZLaurent.zero(), 4, None, 7) == []
+    assert all(type(c) is int for _, _, c in x_power_items(w, 3, None, 6))
+    for bad in (4, 0, -6):
+        with pytest.raises(DomainError):
+            x_power_items(w, 3, None, bad)
+
+
+def test_x_power_items_match_xd_action_sampled():
+    rng = random.Random(1920)
+    zero_band = 0
+    for _ in range(150):
+        w = rand_zlaurent(rng, lo=-7, hi=5)
+        nx = rng.randint(1, 8)
+        prec = rng.choice([None, w.prec, rng.randint(-6, 8)])
+        den = w.denominator * rng.randint(1, 5)
+        got = x_power_items(w, nx, prec, den)
+        assert sorted(got) == _x_power_reference(w, nx, prec, den)
+        assert len({(l, e) for l, e, _ in got}) == len(got)
+        # exponents q of w with 1 - l <= q <= 0 for some l < nx, where
+        # the rising factorial is zero
+        zero_band += any(2 - nx <= q <= 0 for q in w.support())
+        if w.denominator > 1:
+            with pytest.raises(DomainError):
+                x_power_items(w, nx, prec, den + 1)
+    assert zero_band > 30
 
 
 def test_zlaurent_items_match_coeff_sampled():

@@ -23,7 +23,7 @@ from opcurve.psidocalc import (
     order_and_monicity,
     rth_root,
 )
-from opcurve.sato import to_laurent
+from opcurve.sato import point_from_dressing, to_laurent
 
 
 # -- an independent oracle for differential-operator composition ------
@@ -436,6 +436,21 @@ def test_is_dressing():
 def test_invert_non_dressing_rejected():
     with pytest.raises(DomainError):
         invert_dressing(MatrixPsiDO.d())
+
+
+def test_window_zero_positive_degree_is_not_a_dressing():
+    # S = O(x^2) D + 1 + D^-1: the completion s_1 = 5x^2 puts 5x^2 D^2
+    # into S o X, so no x-exact X with S o X = D follows from S
+    s = MatrixPsiDO.from_scalars({1: XSeries([], 2), 0: 1, -1: 1})
+    assert not is_dressing(s)
+    with pytest.raises(DomainError):
+        divide_dressing(s, MatrixPsiDO.d(1), 3)
+    with pytest.raises(DomainError):
+        divide_dressing(s, MatrixPsiDO.d(1), 3, right=True)
+    with pytest.raises(DomainError):
+        invert_dressing(s, depth=3)
+    with pytest.raises(DomainError):
+        point_from_dressing(s)
 
 
 # -- roots ------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+from opcurve import sato
 from opcurve.exactcore import (
     DomainError,
     ExactError,
@@ -14,6 +16,7 @@ from opcurve.exactcore import (
     ZLaurent,
     min_prec,
     rref,
+    xd_action,
 )
 from opcurve.psidocalc import MatrixPsiDO, dress_to_constant, invert_dressing
 from opcurve.sato import (
@@ -479,3 +482,83 @@ def test_dressing_from_point_underdetermined_matches_full_elimination():
     got = _assert_same_dressing(cusp_point(), 2, 2)
     assert got == ("DomainError", "frame windows leave the dressing "
                    "underdetermined at this depth and x-degree")
+
+
+# -- the frame equations against their construction by one module action
+# per (column, m, p, l) -------------------------------------------------
+
+def _action_rows(point, depth, nx):
+    """The rows and right-hand sides of the frame equations built term by
+    term: x^l acting on z^m w_p by one xd_action call cut at w's window,
+    read back as integers over the lcm of w's denominators."""
+    n = point.n
+    cols = list(point.columns)
+    cols += [basis_column(q, n)
+             for q in range(point.stable_from, n * (depth + nx))]
+    nun = depth * nx * n
+    xs = [XSeries([0] * l + [1]) for l in range(nx)]
+    rows, rhs_rows = [], []
+    for w in cols:
+        hi = min_prec(w)
+        den = lcm(*[wp.denominator for wp in w])
+        rhs = [dict(wp.scaled_items(den)) for wp in w]
+        eqs = {k: [0] * nun for r in rhs for k in r
+               if k >= 1 and (hi is None or k <= hi)}
+        for m in range(1, depth + 1):
+            for p, wp in enumerate(w):
+                zw = wp * ZLaurent.monomial(m)
+                for l, x in enumerate(xs):
+                    for e, c in xd_action([(x, 0, zw)], hi).scaled_items(den):
+                        if e >= 1:
+                            eqs.setdefault(e, [0] * nun)[
+                                ((m - 1) * nx + l) * n + p] = c
+        for e in sorted(eqs):
+            rows.append(eqs[e])
+            rhs_rows.append([-r.get(e, 0) for r in rhs])
+    return rows, rhs_rows
+
+
+def _solved_rows(monkeypatch, point, depth, nx):
+    """The (rows, rhs_rows) dressing_from_point hands to solve_system, or
+    None when it answers without a solve."""
+    seen = []
+    real = sato.solve_system
+
+    def spy(rows, rhs_rows):
+        seen.append((rows, rhs_rows))
+        return real(rows, rhs_rows)
+
+    monkeypatch.setattr(sato, "solve_system", spy)
+    try:
+        dressing_from_point(point, depth, nx)
+    except DomainError:
+        pass  # a refused shape still builds its equations first
+    finally:
+        monkeypatch.undo()
+    assert len(seen) <= 1
+    return seen[0] if seen else None
+
+
+def test_frame_equations_match_the_action_construction(monkeypatch):
+    rng = random.Random(1919)
+    frames = []
+    for n, depth, nx in ((1, 2, 3), (1, 3, 2), (2, 1, 2), (2, 2, 2)):
+        frames.append((point_from_dressing(_rand_dressing(rng, n, depth, nx)),
+                       depth, nx))
+    frames += [(point_from_dressing(s), 2, 3) for s in _windowed_dressings()]
+    windowed = set()
+    solves = 0
+    for point, depth, nx in frames:
+        if any(wp.prec is not None for w in point.columns for wp in w):
+            windowed.add(point.n)
+        for dd, nn in ((depth, nx), (depth + 1, nx), (1, 1)):
+            got = _solved_rows(monkeypatch, point, dd, nn)
+            if got is None:
+                # the standard span, or a frame whose windows give no row
+                assert (not point.columns and point.stable_from == 0
+                        or _action_rows(point, dd, nn) == ([], []))
+                continue
+            solves += 1
+            assert got == _action_rows(point, dd, nn)
+            assert all(type(c) is int for row in got[0] + got[1] for c in row)
+    assert windowed == {1, 2} and solves >= 20
