@@ -245,6 +245,10 @@ class _Series:
         """True when every guaranteed coefficient vanishes."""
         return not self._num
 
+    def degree_bound(self) -> int:
+        """Exponent of the highest stored nonzero coefficient, -1 if none."""
+        return self._lo + len(self._num) - 1 if self._num else -1
+
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other):
@@ -408,10 +412,6 @@ class XSeries(_Series):
         """c0, c1, ... up to the highest nonzero one, as Fractions."""
         v = self._view()
         return tuple(v.get(k, _ZERO) for k in range(self.degree_bound() + 1))
-
-    def degree_bound(self) -> int:
-        """Index of the highest stored nonzero coefficient, -1 if none."""
-        return self._lo + len(self._num) - 1 if self._num else -1
 
     # -- arithmetic --------------------------------------------------
 
@@ -715,13 +715,13 @@ def x_power_items(w: ZLaurent, nx: int, prec, den: int):
 
 def _derivative_sum(parts) -> XSeries:
     """The sum of c s^(j) over the (s, j, c) in parts, with s an XSeries,
-    j >= 0 and c an int or Fraction.
+    j >= 0 and c an int.
 
     [x^(k-j)] s^(j) = k (k-1) ... (k-j+1) s_k is read off the numerators,
     and every part adds into one integer list over the lcm of the
-    denominators c.denominator * s._den.  s^(j) is known below
-    x^(prec(s) - j) and the sum below the least of those windows; a part
-    with prec(s) <= j raises PrecisionError.
+    denominators s._den.  s^(j) is known below x^(prec(s) - j) and the sum
+    below the least of those windows; a part with prec(s) <= j raises
+    PrecisionError.
     """
     prec = inf
     lo = hi = 0
@@ -742,11 +742,11 @@ def _derivative_sum(parts) -> XSeries:
             if not live or top - j > hi:
                 hi = top - j
             live.append((s, j, c, k0))
-    den = lcm(*[c.denominator * s._den for s, _, c, _ in live])
+    den = lcm(*[s._den for s, _, _, _ in live])
     hi = min(hi, prec)
     cs = [0] * max(hi - lo, 0)
     for s, j, c, k0 in live:
-        f = c.numerator * (den // (c.denominator * s._den))
+        f = c * (den // s._den)
         num, off = s._num, s._lo
         if not j:  # a plain sum, as of leibniz_sum's products
             for i, x in enumerate(num[k0 - off:max(hi - off, 0)], k0 - lo):
@@ -764,7 +764,7 @@ def _derivative_sum(parts) -> XSeries:
 def leibniz_sum(n: int, groups) -> "Matrix":
     """The n x n matrix sum of a * (sum of c b^(j) over the (b, j, c) in
     parts) over the (a, parts) in groups, with a and b n x n Matrices of
-    XSeries, b^(j) the entrywise j-th x-derivative and c a rational.
+    XSeries, b^(j) the entrywise j-th x-derivative and c an int.
 
     Each entry of an inner sum is one integer list over one denominator,
     known below the least of prec(b) - j over its parts; a part with an
@@ -972,11 +972,8 @@ def rref(rows):
         r += 1
     out = []
     for i, row in enumerate(a):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            out.append([Fraction(x, pv) for x in row])
-        else:
-            out.append([Fraction(x) for x in row])
+        pv = row[pivots[i]] if i < len(pivots) else 1
+        out.append([Fraction(x, pv) if x else _ZERO for x in row])
     return out, pivots
 
 
@@ -1072,7 +1069,7 @@ def _satisfied(pairs, sol, nrhs):
         den = lcm(*[x.denominator for x in col])
         nums = [x.numerator * (den // x.denominator) for x in col]
         for lhs, rhs in pairs:
-            if sum(a * x for a, x in zip(lhs, nums) if a) != rhs[i] * den:
+            if sum(map(mul, lhs, nums)) != rhs[i] * den:
                 return False
     return True
 

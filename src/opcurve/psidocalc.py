@@ -39,8 +39,7 @@ algebra (where Leibniz sums terminate) exact end to end.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import inf
+from math import comb, inf
 
 from .exactcore import (
     DEFAULT_DEPTH,
@@ -56,15 +55,12 @@ from .exactcore import (
 )
 
 
-@lru_cache(maxsize=None)
-def binom(m: int, j: int) -> Fraction:
-    """Generalized binomial coefficient m(m-1)...(m-j+1)/j! for integer m."""
-    num = 1
-    den = 1
-    for t in range(j):
-        num *= m - t
-        den *= t + 1
-    return Fraction(num, den)
+def binom(m: int, j: int) -> int:
+    """Generalized binomial coefficient m(m-1)...(m-j+1)/j! for integer m
+    and j >= 0, an integer: for m < 0 it is (-1)^j binom(j - m - 1, j)."""
+    if m < 0:
+        return (-1) ** j * comb(j - m - 1, j)
+    return comb(m, j)
 
 
 def _zero_matrix(n: int) -> Matrix:

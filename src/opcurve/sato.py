@@ -141,8 +141,22 @@ def _known_floor(vec, n):
     return floor
 
 
-def _coord(vec, s, n):
-    return vec[s % n].coeff(-(s // n))
+def _int_coords(vec, lo, hi, n):
+    """The column's coordinates on classes lo .. hi-1 as ints, all times
+    the lcm of its entries' denominators, read through scaled_items with
+    no Fraction built.  Class s is [z^(-(s//n))] of entry s % n.  Raises
+    coeff's PrecisionError when the window of an entry does not guarantee
+    its lowest class in the range, whose exponent is the highest read."""
+    den = lcm(*[w.denominator for w in vec])
+    out = [0] * max(hi - lo, 0)
+    for p, w in enumerate(vec):
+        first = lo + (p - lo) % n
+        if first < hi and not w.known(-(first // n)):
+            w.coeff(-(first // n))  # raises
+        for e, c in w.scaled_items(den):
+            if lo <= p - n * e < hi:
+                out[p - n * e - lo] = c
+    return out
 
 
 class FredholmReport:
@@ -194,11 +208,6 @@ class GrassPoint:
         self.columns = tuple(_as_vector(c, n) for c in columns)
         self.stable_from = int(stable_from)
 
-    def _reduced_coords(self, vec, lo):
-        # Coordinates on classes [lo, stable_from); higher classes lie in
-        # the standard tail and are dropped by the reduction.
-        return [_coord(vec, s, self.n) for s in range(lo, self.stable_from)]
-
     def _window_lo(self, extra=()):
         vecs = list(self.columns) + list(extra)
         lo = None
@@ -206,9 +215,10 @@ class GrassPoint:
             f = _known_floor(v, self.n)
             if f is not None and (lo is None or f > lo):
                 lo = f
-        base = min([self.stable_from] + [i - self.n * e for v in vecs
+        base = min([self.stable_from] + [i - self.n * w.degree_bound()
+                                         for v in vecs
                                          for i, w in enumerate(v)
-                                         for e in w.support()])
+                                         if not w.is_zero()])
         if lo is None:
             return base
         return max(lo, base)
@@ -219,14 +229,16 @@ class GrassPoint:
 
     def contains(self, vec):
         """Whether the column lies in the span, certified on the window
-        of classes the inputs determine."""
+        of classes the inputs determine.  Classes from stable_from on lie
+        in the standard tail and are dropped; each column is read as
+        integers over its own denominators, a positive factor per column
+        that changes no solvability."""
         vec = _as_vector(vec, self.n)
         lo = self._window_lo([vec])
-        classes = range(lo, self.stable_from)
-        rows = [[_coord(col, s, self.n) for col in self.columns]
-                for s in classes]
-        rhs = [_coord(vec, s, self.n) for s in classes]
-        return solve(rows, rhs) is not None
+        s0 = self.stable_from
+        cols = [_int_coords(col, lo, s0, self.n) for col in self.columns]
+        rows = [[c[i] for c in cols] for i in range(s0 - lo)]
+        return solve(rows, _int_coords(vec, lo, s0, self.n)) is not None
 
     def fredholm_report(self) -> FredholmReport:
         k = len(self.columns)
@@ -239,8 +251,15 @@ class GrassPoint:
                 raise PrecisionError(
                     "column windows do not determine the coordinates "
                     f"down to class {lo}")
-        full = [self._reduced_coords(col, lo) for col in self.columns]
-        if rank([list(r) for r in zip(*full)] if full else []) != k:
+        # coordinates on classes lo .. s0-1 (the standard tail drops the
+        # rest), each column times a positive integer that changes no rank.
+        # lo <= 0, so the a_rows, classes 0 .. s0-1, are rows of the full
+        # matrix and rank(a_rows) <= rank(full) <= k: r = k already
+        # certifies the full column rank, and only r < k needs rank(full)
+        full = [_int_coords(col, lo, s0, self.n) for col in self.columns]
+        a_rows = [[c[s - lo] for c in full] for s in range(s0)]
+        r = rank(a_rows)
+        if r < k and rank([list(row) for row in zip(*full)]) != k:
             # a windowed column has unknown coordinates below class lo,
             # which can make the columns independent
             if any(w.prec is not None for col in self.columns for w in col):
@@ -249,8 +268,6 @@ class GrassPoint:
                                      "independent modulo the standard tail")
             raise DomainError("exceptional columns are dependent modulo "
                               "the standard tail")
-        a_rows = [[col[s - lo] for col in full] for s in range(max(0, lo), s0)]
-        r = rank(a_rows)
         h0 = k - r + max(0, -s0)
         h1 = max(0, s0) - r
         return FredholmReport(h0, h1, r, k, s0)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -249,6 +249,17 @@ def test_binom_negative():
     assert binom(-2, 3) == -4
     assert binom(3, 2) == 3
     assert binom(3, 5) == 0
+
+
+def test_binom_is_an_int_equal_to_the_fraction_formula():
+    for m in range(-12, 13):
+        for j in range(15):
+            falling = 1  # m (m-1) ... (m-j+1)
+            for t in range(j):
+                falling *= m - t
+            want = Fraction(falling, factorial(j))
+            got = binom(m, j)
+            assert type(got) is int and got == want, (m, j)
 
 
 # -- split, order, monicity -------------------------------------------
