@@ -13,17 +13,9 @@ error.
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from .exactcore import (
-    DomainError,
-    Matrix,
-    PrecisionError,
-    XSeries,
-    ZLaurent,
-    min_prec,
-)
-from .psidocalc import MatrixPsiDO, commutator, invert_dressing, rth_root
+from .exactcore import DomainError, PrecisionError, min_prec
+from .psidocalc import commutator, invert_dressing, rth_root
 from .sato import (
     GrassPoint,
     is_differential_by_action,
@@ -56,7 +48,14 @@ from .session import (
     value_payload,
     value_tag,
 )
-from .exprs import ParseError, evaluate, invert_value, print_value
+from .exprs import (
+    _EMBEDS,
+    ParseError,
+    embed,
+    evaluate,
+    invert_value,
+    print_value,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -86,21 +85,17 @@ def _operand(env, text):
     return evaluate(text, resolve, env.ctx)
 
 
+def _lifted(value, target, what, sort):
+    """value embedded into the target sort, or a DomainError naming what
+    the operand had to be."""
+    tag = value_tag(value)
+    if target not in _EMBEDS.get(tag, ()):
+        raise DomainError(f"{what} must be {sort}, got {tag}")
+    return embed(value, tag, target, getattr(value, "n", 1))
+
+
 def _as_pdo(value, what="operand"):
-    if isinstance(value, (Fraction, int)):
-        return MatrixPsiDO.identity(1).scale(value)
-    if isinstance(value, XSeries):
-        return MatrixPsiDO.from_xseries(value)
-    if isinstance(value, Matrix):
-        tag = value_tag(value)
-        if tag == "qmatrix":
-            return MatrixPsiDO(value.n, {0: value.map(XSeries.constant)})
-        if tag == "xmatrix":
-            return MatrixPsiDO(value.n, {0: value})
-    if not isinstance(value, MatrixPsiDO):
-        raise DomainError(f"{what} must be an operator, got "
-                          f"{value_tag(value)}")
-    return value
+    return _lifted(value, "pdo", what, "an operator")
 
 
 def _as_point(value, what="operand"):
@@ -111,18 +106,7 @@ def _as_point(value, what="operand"):
 
 
 def _as_zmatrix(value, what="operand"):
-    if isinstance(value, (Fraction, int)):
-        value = ZLaurent.constant(value)
-    if isinstance(value, ZLaurent):
-        return Matrix([[value]])
-    if isinstance(value, Matrix):
-        tag = value_tag(value)
-        if tag == "qmatrix":
-            return value.map(ZLaurent.constant)
-        if tag == "zmatrix":
-            return value
-    raise DomainError(f"{what} must be a matrix over the Laurent field, "
-                      f"got {value_tag(value)}")
+    return _lifted(value, "zmatrix", what, "a matrix over the Laurent field")
 
 
 def _gens_to_spec(values, n_flag):
@@ -130,10 +114,9 @@ def _gens_to_spec(values, n_flag):
     given, scalar Laurent series become diagonal generators."""
     gens, diag = [], []
     for v in values:
-        if isinstance(v, (Fraction, int)):
-            v = ZLaurent.constant(v)
-        if isinstance(v, ZLaurent):
-            diag.append(v)
+        tag = value_tag(v)
+        if "zlaurent" in _EMBEDS.get(tag, ()):
+            diag.append(embed(v, tag, "zlaurent", 1))
         else:
             gens.append(_as_zmatrix(v, "generator"))
     if gens:

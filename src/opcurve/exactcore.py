@@ -33,6 +33,7 @@ benchmark and the tests.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat, zip_longest
 from math import gcd, inf, isqrt, lcm, perm
@@ -103,9 +104,19 @@ def power(base, e: int, one):
 
 
 def fraction_str(a: Fraction) -> str:
-    """Render a Fraction as 'p' or 'p/q' with q > 0, lowest terms."""
+    """Render a Fraction as 'p' or 'p/q' with q > 0, lowest terms.
+
+    Python refuses to convert an integer of more digits than
+    sys.get_int_max_str_digits() to text; such a rational is a
+    DomainError.
+    """
     a = as_fraction(a)
-    return str(a)
+    try:
+        return str(a)
+    except ValueError as err:
+        raise DomainError(
+            "rational too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from err
 
 
 def _prec_key(prec):

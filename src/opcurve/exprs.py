@@ -7,6 +7,7 @@ documented there.  Printing inverts parsing: for every value v,
 parse(print(v)) compares equal to v on the guaranteed windows.
 """
 
+import sys
 from fractions import Fraction
 
 from .exactcore import (
@@ -58,7 +59,14 @@ def tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            out.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError(
+                    f"syntax error at {_where(text, i)}: integer literal "
+                    f"longer than {sys.get_int_max_str_digits()} "
+                    "digits") from None
+            out.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -200,94 +208,73 @@ def parse(text: str):
 
 # -- elaboration -----------------------------------------------------
 
-_SPECIALS = ("x", "Dx", "z")
+# Each sort and the sorts it embeds into (GRAMMAR.md, "Elaboration"),
+# itself first, in join order.  Sorts outside the table (grasspoint,
+# algebra) have no arithmetic.
+_EMBEDS = {
+    "scalar": ("scalar", "xseries", "zlaurent", "qmatrix", "xmatrix",
+               "zmatrix", "pdo"),
+    "xseries": ("xseries", "xmatrix", "pdo"),
+    "zlaurent": ("zlaurent", "zmatrix"),
+    "qmatrix": ("qmatrix", "xmatrix", "zmatrix", "pdo"),
+    "xmatrix": ("xmatrix", "pdo"),
+    "zmatrix": ("zmatrix",),
+    "pdo": ("pdo",),
+}
+
+_SERIES = {"xseries": XSeries, "zlaurent": ZLaurent}
+_ENTRY = {"qmatrix": "scalar", "xmatrix": "xseries", "zmatrix": "zlaurent"}
 
 
-def _one_like(v):
-    tag = value_tag(v)
-    if tag == "scalar":
-        return Fraction(1)
-    if tag == "xseries":
-        return XSeries.one()
-    if tag == "zlaurent":
-        return ZLaurent.one()
-    if tag == "pdo":
-        return MatrixPsiDO.identity(v.n)
+def embed(v, tag, target, n):
+    """v, a value of sort tag, as a value of sort target, which must be
+    in _EMBEDS[tag].
+
+    A scalar becomes a constant series; a scalar or a series becomes a
+    diagonal n x n matrix with exact zeros off the diagonal; a qmatrix's
+    entries become constant series; a qmatrix or xmatrix, which must be
+    n x n, becomes the degree-0 coefficient of an operator.
+    """
+    if tag == target:
+        return v
+    if target in _SERIES:
+        return _SERIES[target].constant(v)
+    if target == "pdo":
+        if tag in _ENTRY and v.n != n:
+            raise DomainError("matrix and operator sizes differ")
+        return MatrixPsiDO(n, {0: embed(v, tag, "xmatrix", n)})
+    entry = _ENTRY[target]
     if tag == "qmatrix":
-        return Matrix.identity(v.n, Fraction(1))
-    if tag == "xmatrix":
-        return Matrix.identity(v.n, XSeries.one())
-    return Matrix.identity(v.n, ZLaurent.one())
-
-
-def _diag(n, entry, zero):
-    return Matrix([[entry if i == j else zero for j in range(n)]
+        return v.map(_SERIES[entry].constant)
+    d = embed(v, tag, entry, n)
+    zero = _SERIES[entry].zero() if entry in _SERIES else Fraction(0)
+    return Matrix([[d if i == j else zero for j in range(n)]
                    for i in range(n)])
 
 
-def _lift(a, ta, b, tb):
-    """Lift a into b's ring, returning (a', b') or None when no rule fits."""
-    if ta == "scalar":
-        if tb == "xseries":
-            return XSeries.constant(a), b
-        if tb == "zlaurent":
-            return ZLaurent.constant(a), b
-        if tb == "pdo":
-            return MatrixPsiDO.identity(b.n).scale(a), b
-        if tb == "qmatrix":
-            return _diag(b.n, Fraction(a), Fraction(0)), b
-        if tb == "xmatrix":
-            return _diag(b.n, XSeries.constant(a), XSeries.zero()), b
-        if tb == "zmatrix":
-            return _diag(b.n, ZLaurent.constant(a), ZLaurent.zero()), b
-    if ta == "xseries":
-        if tb == "pdo":
-            return MatrixPsiDO.from_xseries(a, b.n), b
-        if tb == "qmatrix":
-            return (_diag(b.n, a, XSeries.zero()),
-                    b.map(XSeries.constant))
-        if tb == "xmatrix":
-            return _diag(b.n, a, XSeries.zero()), b
-    if ta == "zlaurent":
-        if tb == "qmatrix":
-            return (_diag(b.n, a, ZLaurent.zero()),
-                    b.map(ZLaurent.constant))
-        if tb == "zmatrix":
-            return _diag(b.n, a, ZLaurent.zero()), b
-    if ta == "qmatrix":
-        if tb == "xmatrix":
-            return a.map(XSeries.constant), b
-        if tb == "zmatrix":
-            return a.map(ZLaurent.constant), b
-        if tb == "pdo":
-            if a.n != b.n:
-                raise DomainError("matrix and operator sizes differ")
-            return MatrixPsiDO(b.n, {0: a.map(XSeries.constant)}), b
-    if ta == "xmatrix" and tb == "pdo":
-        if a.n != b.n:
-            raise DomainError("matrix and operator sizes differ")
-        return MatrixPsiDO(b.n, {0: a}), b
-    return None
+def _join(ta, tb):
+    """The first sort in ta's list that tb also embeds into."""
+    up = _EMBEDS.get(tb, ())
+    for t in _EMBEDS.get(ta, ()):
+        if t in up:
+            return t
+    raise DomainError(f"cannot combine {ta} with {tb}")
 
 
 def _promote(a, b):
-    """Lift both values into a common ring, or raise DomainError.
+    """Embed both values into the join of their sorts, or raise
+    DomainError.
 
-    Rationals embed as constants, scalars embed diagonally into square
-    matrices and operators.  Series in x and series in z never mix; the
-    adjoint dictionary between them is a library operation, not an
-    implicit coercion.
+    The size of a matrix or operator join comes from the side already in
+    that sort, else from the qmatrix.  Series in x and series in z never
+    mix; the adjoint dictionary between them is a library operation, not
+    an implicit coercion.
     """
     ta, tb = value_tag(a), value_tag(b)
-    if ta == tb:
-        return a, b
-    lifted = _lift(a, ta, b, tb)
-    if lifted is not None:
-        return lifted
-    lifted = _lift(b, tb, a, ta)
-    if lifted is not None:
-        return lifted[1], lifted[0]
-    raise DomainError(f"cannot combine {ta} with {tb}")
+    t = _join(ta, tb)
+    src = a if ta == t or (tb != t and ta == "qmatrix") else b
+    n = getattr(src, "n", 1)
+    return embed(a, ta, t, n), embed(b, tb, t, n)
 
 
 def _add(a, b, subtract=False):
@@ -341,25 +328,18 @@ def invert_value(v, ctx):
 def _pow(v, k, ctx):
     if k < 0:
         return _pow(invert_value(v, ctx), -k, ctx)
-    return power(v, k, _one_like(v))
+    tag = value_tag(v)
+    if tag not in _EMBEDS:
+        raise DomainError(f"cannot raise a value of sort {tag} to a power")
+    return power(v, k, embed(Fraction(1), "scalar", tag, getattr(v, "n", 1)))
 
 
 def _assemble_operator(entries):
     n = len(entries)
-    ops = []
-    for row in entries:
-        out = []
-        for v in row:
-            tag = value_tag(v)
-            if tag == "scalar":
-                v = MatrixPsiDO.identity(1).scale(v)
-            elif tag == "xseries":
-                v = MatrixPsiDO.from_xseries(v)
-            elif tag != "pdo" or v.n != 1:
-                raise DomainError("operator matrix entries must be scalar "
-                                  "operators, x-series or rationals")
-            out.append(v)
-        ops.append(out)
+    ops = [[embed(v, value_tag(v), "pdo", 1) for v in row] for row in entries]
+    if any(v.n != 1 for row in ops for v in row):
+        raise DomainError("operator matrix entries must be scalar "
+                          "operators, x-series or rationals")
     lo = None
     for row in ops:
         for v in row:
@@ -384,19 +364,16 @@ def _elaborate_matrix(entries):
     if bad:
         raise DomainError("matrix entries cannot have sort "
                           + ", ".join(sorted(bad)))
-    if "pdo" in tags:
-        if "zlaurent" in tags:
-            raise DomainError("cannot combine zlaurent with pdo")
+    # folded from the top of the scalar list, so a clash names the lower
+    # sort first
+    join = "scalar"
+    for t in reversed(_EMBEDS["scalar"]):
+        if t in tags:
+            join = _join(t, join)
+    if join == "pdo":
         return _assemble_operator(entries)
-    if "zlaurent" in tags:
-        if "xseries" in tags:
-            raise DomainError("cannot combine xseries with zlaurent")
-        return Matrix([[v if isinstance(v, ZLaurent) else ZLaurent.constant(v)
-                        for v in row] for row in entries])
-    if "xseries" in tags:
-        return Matrix([[v if isinstance(v, XSeries) else XSeries.constant(v)
-                        for v in row] for row in entries])
-    return Matrix([[Fraction(v) for v in row] for row in entries])
+    return Matrix([[embed(v, value_tag(v), join, 1) for v in row]
+                   for row in entries])
 
 
 def elaborate(node, resolve=None, context=None):

@@ -30,6 +30,8 @@ FORMAT_NAME = "opcurve-session"
 FORMAT_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# the scalar text FORMAT.md allows: "p" or "p/q", canonical or not
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Inclusive bounds on each context value.  The --depth, --x-prec, --z-hi
 # and --z-lo flags take the same ones, so a session file asks for no more
@@ -61,9 +63,14 @@ def scalar_payload(a) -> str:
 
 
 def parse_scalar(text) -> Fraction:
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise DomainError(f"bad rational literal {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(str(text))
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as err:
+        # a zero denominator, or a part beyond Python's digit limit
         raise DomainError(f"bad rational literal {text!r}") from err
 
 
@@ -314,8 +321,11 @@ class Session:
         return canonical_json(self.as_dict())
 
     def save(self, path):
+        # serialize before open() truncates the file, so a value that
+        # cannot be written leaves the old file in place
+        text = self.dumps()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+            fh.write(text)
 
     @classmethod
     def loads(cls, text: str) -> "Session":

@@ -1,6 +1,9 @@
 """Command line driver: verbs, exit codes, flag placement, sessions."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -589,6 +592,88 @@ def test_exponent_above_cap_is_usage_error(capsys):
     assert code == 2
     assert out == []
     assert "exponent 1001 exceeds MAX_EXPONENT = 1000" in err
+
+
+def test_integer_literal_beyond_the_digit_limit_is_a_syntax_error(capsys):
+    code, out, err = run(capsys, "pdo", "compose", "x + " + "1" * 5000, "1")
+    assert code == 2
+    assert out == []
+    assert err.startswith("error (syntax): syntax error at line 1, column 5: "
+                          "integer literal longer than ")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_rational_too_long_to_print_is_a_domain_error(capsys, as_json):
+    argv = ["--json"] * as_json + ["pdo", "compose", "2^1000^20", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    text = json.loads("\n".join(out))["error"]["message"] if as_json \
+        else err
+    assert "rational too long to print: more than " in text
+
+
+def test_failed_save_keeps_the_session_file(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    run(capsys, "--session", str(path), "session", "set", "p", CUSP_P)
+    before = path.read_bytes()
+    code, _, err = run(capsys, "--session", str(path), "session", "set",
+                       "a", "2^1000^20")
+    assert code == 3
+    assert err.startswith("error (domain): rational too long to print")
+    assert path.read_bytes() == before
+
+
+def test_session_scalar_outside_the_format_is_refused_at_once(tmp_path):
+    path = tmp_path / "s.json"
+    ses = Session()
+    ses.set("a", 1)
+    path.write_text(ses.dumps().replace('"value": "1"',
+                                        '"value": "1e100000000"'))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcurve.cli", "--session", str(path),
+         "session", "show"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error (domain): bad rational literal "
+                           "'1e100000000'\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("pdo", "compose", "z", "1"),
+     "operand must be an operator, got zlaurent"),
+    (("curve", "charpoly", "x"),
+     "generator must be a matrix over the Laurent field, got xseries"),
+    (("grass", "h0h1", "Dx"),
+     "point must name a grasspoint binding, got pdo"),
+    (("curve", "filtration", "--bound", "2", "--n", "3", "[[z,0],[0,z]]"),
+     "--n 3 does not match generator size 2"),
+], ids=["compose", "charpoly", "h0h1", "filtration"])
+def test_operand_of_the_wrong_sort_is_a_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == []
+    assert err == f"error (domain): {message}\n"
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("w*w", "cannot combine grasspoint with grasspoint"),
+    ("w+w", "cannot combine grasspoint with grasspoint"),
+    ("w^2", "cannot raise a value of sort grasspoint to a power"),
+    ("w^0", "cannot raise a value of sort grasspoint to a power"),
+])
+def test_frames_have_no_arithmetic(capsys, tmp_path, expr, message):
+    path = str(tmp_path / "s.json")
+    code, _, _ = run(capsys, "--session", path, "grass", "from-dressing",
+                     "1 + Dx^-1", "--store", "w")
+    assert code == 0
+    code, out, err = run(capsys, "--session", path, "session", "set",
+                         "v", expr)
+    assert code == 3
+    assert err == f"error (domain): {message}\n"
+    assert Session.load(path).names() == ["w"]
 
 
 def test_json_error_goes_to_stdout(capsys):

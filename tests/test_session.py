@@ -32,6 +32,17 @@ def test_scalar_payloads():
         parse_value("scalar", "x")
 
 
+def test_scalar_payloads_take_the_documented_form_only():
+    # non-canonical but well-formed rationals still load
+    assert parse_value("scalar", "2/4") == Fraction(1, 2)
+    assert parse_value("scalar", "007") == Fraction(7)
+    assert parse_value("scalar", "-0") == Fraction(0)
+    for text in ("1.5", "1e9", "1_0", " 2 ", "+3", "1/0", "1/-2", "", 5,
+                 "1e100000000", "9" * 5000):
+        with pytest.raises(DomainError, match="^bad rational literal"):
+            parse_value("scalar", text)
+
+
 def test_xseries_window_is_dense():
     s = XSeries([1, 0, 2], 5)
     assert xseries_payload(s) == {"coeffs": ["1", "0", "2", "0", "0"],

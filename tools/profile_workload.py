@@ -15,15 +15,21 @@ time, each with its calls per operation, its seconds per operation and
 its share of the profiled time, and last the number of checked and
 failed operations.  The exit code is 1 when an operation failed.
 
-A cli_session operation is a child process, so its profile shows only
-the parent's spawning and waiting.  Standard library only.
+A cli_session operation runs here in this process rather than as the
+benchmark's child: cli.main on the workload's session file, with stdout
+and stderr captured together as the child's output is and SystemExit
+taken as the exit code.  Interpreter start and ``import opcurve.cli``
+are outside that profile.  Standard library only.
 """
 
 import argparse
+import contextlib
 import cProfile
+import io
 import pstats
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -31,27 +37,37 @@ ROOT = Path(__file__).resolve().parent.parent
 TOP = 20
 
 
-def run_ops(workloads, workload, state, ks, failures, prof=None):
-    """Run operations ks in order, each under prof when one is given, and
-    return their wall seconds.  The oracle checks each result outside the
-    timing and the profile; failures collects (k, reason)."""
+def run_ops(op, check, ks, failures, prof=None):
+    """Run op(k) for k in ks in order, each under prof when one is given,
+    and return their wall seconds.  check(k, out) is the oracle, run
+    outside the timing and the profile; failures collects (k, reason)."""
     wall = 0.0
     for k in ks:
         t0 = perf_counter()
         try:
-            if prof is None:
-                out = workloads.run(workload, state, k)
-            else:
-                out = prof.runcall(workloads.run, workload, state, k)
+            out = op(k) if prof is None else prof.runcall(op, k)
         except Exception as err:  # counted as a failed operation
             wall += perf_counter() - t0
             failures.append((k, f"{type(err).__name__}: {err}"))
             continue
         wall += perf_counter() - t0
-        reason = workloads.check(workload, state, k, out)
+        reason = check(k, out)
         if reason:
             failures.append((k, reason))
     return wall
+
+
+def cli_op(cli, state, k):
+    """Operation k of cli_session in this process; returns (exit code,
+    stdout and stderr) as workloads.run_cli does for a child."""
+    argv, _ = state["pool"][k % len(state["pool"])]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            code = cli.main(["--session", str(state["session"]), *argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
 
 
 def label(func):
@@ -95,20 +111,29 @@ def main(argv=None):
         state = workloads.build(args.workload,
                                 inputs.generate(args.workload, args.seed),
                                 workdir)
-        run_ops(workloads, args.workload, state, [0], failures)
+        if args.workload == "cli_session":
+            import opcurve.cli as cli
+            op = partial(cli_op, cli, state)
+        else:
+            op = partial(workloads.run, args.workload, state)
+        check = partial(workloads.check, args.workload, state)
+        run_ops(op, check, [0], failures)
         workloads.reset(args.workload, state)
-        plain = run_ops(workloads, args.workload, state, ks, failures)
+        plain = run_ops(op, check, ks, failures)
         workloads.reset(args.workload, state)
         prof = cProfile.Profile()
-        profiled = run_ops(workloads, args.workload, state, ks, failures,
-                           prof)
+        profiled = run_ops(op, check, ks, failures, prof)
     stats = pstats.Stats(prof)
-    # shares are of the time inside workloads.run, the profile's root
-    total = sum(v[3] for f, v in stats.stats.items()
-                if f[2] == "run" and Path(f[0]).name == "workloads.py")
+    # shares are of the time inside op's function, the profile's root
+    root = op.func.__code__
+    total = stats.stats[(root.co_filename, root.co_firstlineno,
+                         root.co_name)][3]
     print(f"{args.workload} seed {args.seed}: {args.ops} ops after one "
           f"warm-up, {plain / args.ops:.5f} s/op without the profiler, "
           f"{profiled / args.ops:.5f} s/op with it")
+    if args.workload == "cli_session":
+        print("each op runs cli.main in this process: interpreter start "
+              "and import opcurve.cli are outside this profile")
     for key, title in (("tottime", "self time"),
                        ("cumtime", "cumulative time")):
         print(f"\ntop {TOP} by {title}:")
